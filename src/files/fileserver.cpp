@@ -40,10 +40,6 @@ std::uint64_t add_extent(std::map<std::uint64_t, std::uint64_t>& extents,
 }
 }  // namespace
 
-SimDuration net_distance(simnet::World& world, const std::string& a, const std::string& b) {
-  return world.net_distance(a, b);
-}
-
 FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_replicas,
                        std::uint16_t port, FileServerConfig config)
     : rpc_(host, port, {}),

@@ -252,10 +252,4 @@ class FileClient {
   Logger log_;
 };
 
-/// Deprecated shim: forwards to simnet::World::net_distance, which ranks
-/// non-adjacent hosts by their resolved multi-hop route latency instead of
-/// the old +inf.  New code should call the World method directly.
-[[deprecated("use simnet::World::net_distance")]] SimDuration net_distance(
-    simnet::World& world, const std::string& a, const std::string& b);
-
 }  // namespace snipe::files

@@ -26,10 +26,6 @@ bool FaultInjector::in_bad_state() const {
   return false;
 }
 
-FaultVerdict FaultInjector::judge(const std::string& src, const std::string& dst) {
-  return judge(src, src, dst);
-}
-
 FaultVerdict FaultInjector::judge(const std::string& lane_name, const std::string& src,
                                   const std::string& dst) {
   ++stats_.packets_judged;
@@ -89,9 +85,9 @@ FaultVerdict FaultInjector::judge(const std::string& lane_name, const std::strin
   return v;
 }
 
-void FaultInjector::corrupt_payload(Bytes& wire, const std::string& src) {
+void FaultInjector::corrupt_payload(Bytes& wire, const std::string& lane_name) {
   if (wire.empty()) return;
-  Rng& rng = lane(src).rng;
+  Rng& rng = lane(lane_name).rng;
   std::uint32_t flips = static_cast<std::uint32_t>(
       rng.next_below(std::max<std::uint32_t>(profile_.corrupt_max_bytes, 1)) + 1);
   for (std::uint32_t i = 0; i < flips; ++i) {
@@ -101,11 +97,9 @@ void FaultInjector::corrupt_payload(Bytes& wire, const std::string& src) {
   }
 }
 
-void FaultInjector::corrupt_payload(Bytes& wire) { corrupt_payload(wire, std::string()); }
-
-void FaultInjector::corrupt_payload(Payload& wire, const std::string& src) {
+void FaultInjector::corrupt_payload(Payload& wire, const std::string& lane_name) {
   if (wire.empty()) return;
-  Rng& rng = lane(src).rng;
+  Rng& rng = lane(lane_name).rng;
   std::uint32_t flips = static_cast<std::uint32_t>(
       rng.next_below(std::max<std::uint32_t>(profile_.corrupt_max_bytes, 1)) + 1);
   for (std::uint32_t i = 0; i < flips; ++i) {
@@ -114,8 +108,6 @@ void FaultInjector::corrupt_payload(Payload& wire, const std::string& src) {
     wire.cow_xor(pos, mask);
   }
 }
-
-void FaultInjector::corrupt_payload(Payload& wire) { corrupt_payload(wire, std::string()); }
 
 void FaultInjector::set_partition(const std::vector<std::vector<std::string>>& groups) {
   group_of_.clear();

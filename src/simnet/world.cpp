@@ -53,36 +53,30 @@ std::uint64_t route_tie(const std::string& src, const std::string& dst,
   return h;
 }
 
-/// Runs one about-to-fly datagram through `net`'s fault injector (if any)
-/// and hands each surviving copy — the jittered duplicate first, as always
-/// — to `post(arrival, packet)`.  `lane` is the transmitting node: the
-/// source host on the first hop (bit-for-bit the flat behavior), the
-/// forwarding router on interior hops, so every injector lane stays
-/// confined to one shard's thread.  Partition boundaries are judged on the
-/// packet's end-to-end (src, dst) pair regardless of the lane.
-template <typename PostFn>
-void judge_and_post(Network* net, const std::string& lane, SimTime arrival, Packet packet,
-                    PostFn post) {
-  FaultInjector* fault = net->fault();
-  if (fault != nullptr) {
-    FaultVerdict v = fault->judge(lane, packet.src.host, packet.dst.host);
-    if (v.drop) {
-      net->stats().drops_fault++;
-      return;
-    }
-    if (v.corrupt) {
-      fault->corrupt_payload(packet.payload, lane);
-      net->stats().fault_corruptions++;
-    }
-    if (v.copies > 1) {
-      net->stats().fault_duplicates += static_cast<std::uint64_t>(v.copies - 1);
-      // The duplicate is posted first, as it always has been: at equal
-      // arrival times post order decides delivery order.
-      post(arrival + v.extra_delay + v.dup_delay, packet);
-    }
-    arrival += v.extra_delay;
+/// `src`'s NIC on the fastest up network `dst` is also attached to, or on
+/// `preferred` when that is one of them; nullptr when none is shared.
+Nic* fastest_shared_nic(const Host& src, Host& dst, const std::string& preferred) {
+  // §5.3: "the message is sent using the fastest of those" — the shared up
+  // networks ordered by effective bandwidth, then lower latency, then name
+  // for determinism; the first NIC wins among equals.  One pass, no
+  // allocation: this runs once per datagram.
+  auto faster = [](const Network* a, const Network* b) {
+    const MediaModel& ma = a->model();
+    const MediaModel& mb = b->model();
+    double ea = ma.bandwidth_bps * (1.0 - ma.cell_tax);
+    double eb = mb.bandwidth_bps * (1.0 - mb.cell_tax);
+    if (ea != eb) return ea > eb;
+    if (ma.latency != mb.latency) return ma.latency < mb.latency;
+    return a->name() < b->name();
+  };
+  Nic* best = nullptr;
+  for (const auto& nic : src.nics()) {
+    Network* net = nic->network();
+    if (!nic->up() || !net->up() || dst.nic_on(net->name()) == nullptr) continue;
+    if (!preferred.empty() && net->name() == preferred) return nic.get();
+    if (best == nullptr || faster(net, best->network())) best = nic.get();
   }
-  post(arrival, std::move(packet));
+  return best;
 }
 
 }  // namespace
@@ -99,9 +93,28 @@ void Nic::set_up(bool up) {
   up_ = up;
 }
 
+SimTime Nic::transmit(std::size_t bytes) {
+  const MediaModel& model = network_->model();
+  SimTime start = std::max(node_->engine().now(), next_free());
+  SimDuration ser = model.serialize_time(bytes);
+  next_free_.store(start + ser, std::memory_order_relaxed);
+  tx_packets_.fetch_add(1, std::memory_order_relaxed);
+  tx_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  busy_ns_.fetch_add(static_cast<std::uint64_t>(ser), std::memory_order_relaxed);
+  return start + ser + model.latency;
+}
+
 void Network::set_up(bool up) {
   if (up_ != up && world_ != nullptr) world_->bump_route_epoch();
   up_ = up;
+}
+
+bool Network::carry(std::size_t bytes, Rng& rng) {
+  stats_.packets_sent++;
+  stats_.bytes_sent += bytes;
+  if (!rng.chance(total_loss())) return true;
+  stats_.drops_loss++;
+  return false;
 }
 
 Node::Node(World* world, std::string name, Rng rng, Engine* engine, std::size_t shard,
@@ -122,19 +135,6 @@ Nic* Node::nic_on(const std::string& network) {
   for (auto& nic : nics_)
     if (nic->network()->name() == network) return nic.get();
   return nullptr;
-}
-
-void Host::schedule_delivery(World* world, Network* net, Host* target, SimTime arrival,
-                             Packet packet) {
-  // Copy the lane name out before the move: the order in which a call's
-  // arguments are evaluated is unspecified, so passing packet.src.host by
-  // reference alongside std::move(packet) could bind it to a moved-from
-  // string.
-  std::string lane = packet.src.host;
-  judge_and_post(net, lane, arrival, std::move(packet),
-                 [world, net, target](SimTime when, Packet p) {
-                   world->post_delivery(net, target, when, std::move(p));
-                 });
 }
 
 Host::Host(World* world, std::string name, Rng rng, Engine* engine, std::size_t shard)
@@ -170,126 +170,29 @@ Result<std::string> Host::send(const Address& dst, Payload payload, const SendOp
   Host* dst_host = world_->host(dst.host);
   if (!dst_host) return Error{Errc::not_found, "no such host " + dst.host};
 
-  // Candidate networks: both endpoints attached with up NICs, network up.
-  // §5.3: "the message is sent using the fastest of those" — order by
-  // effective bandwidth, then lower latency, then name for determinism.
-  // Candidates live in inline storage and are ordered by an allocation-free
-  // stable insertion sort: this runs once per datagram, and the two small
-  // heap allocations the old vector + stable_sort pair made here were the
-  // hottest allocation site in the simulator.
-  using Candidate = std::pair<Nic*, Nic*>;  // (our nic, their nic)
-  constexpr std::size_t kInlineCandidates = 16;
-  Candidate inline_cand[kInlineCandidates];
-  std::vector<Candidate> overflow;
-  std::size_t ncand = 0;
-  for (auto& nic : nics_) {
-    if (!nic->up() || !nic->network()->up()) continue;
-    Nic* theirs = dst_host->nic_on(nic->network()->name());
-    if (theirs == nullptr) continue;
-    if (ncand < kInlineCandidates && overflow.empty()) {
-      inline_cand[ncand++] = {nic.get(), theirs};
-    } else {
-      if (overflow.empty()) overflow.assign(inline_cand, inline_cand + ncand);
-      overflow.emplace_back(nic.get(), theirs);
-      ++ncand;
-    }
+  // The first hop: a shared network when there is one (never cached — the
+  // flat model resolves no routes), else the cached multi-hop route.
+  std::shared_ptr<const Route> route;
+  Nic* ours = fastest_shared_nic(*this, *dst_host, opts.preferred_network);
+  if (ours == nullptr) {
+    route = world_->resolve_route(*this, dst.host);
+    if (route == nullptr)
+      return Error{Errc::unreachable, "no shared network between " + name_ + " and " + dst.host};
+    ours = route->hops[0].tx;
   }
-  if (ncand == 0) return send_routed(dst, dst_host, std::move(payload), opts);
-  Candidate* first = overflow.empty() ? inline_cand : overflow.data();
-  Candidate* last = first + ncand;
-
-  auto faster = [](const Candidate& a, const Candidate& b) {
-    const MediaModel& ma = a.first->network()->model();
-    const MediaModel& mb = b.first->network()->model();
-    double ea = ma.bandwidth_bps * (1.0 - ma.cell_tax);
-    double eb = mb.bandwidth_bps * (1.0 - mb.cell_tax);
-    if (ea != eb) return ea > eb;
-    if (ma.latency != mb.latency) return ma.latency < mb.latency;
-    return a.first->network()->name() < b.first->network()->name();
-  };
-  for (Candidate* i = first + 1; i < last; ++i) {
-    Candidate key = *i;
-    Candidate* j = i;
-    for (; j > first && faster(key, j[-1]); --j) *j = j[-1];
-    *j = key;
-  }
-  if (!opts.preferred_network.empty()) {
-    Candidate* it = std::find_if(first, last, [&](const Candidate& c) {
-      return c.first->network()->name() == opts.preferred_network;
-    });
-    if (it != last) std::rotate(first, it, it + 1);
-  }
-
-  auto [ours, theirs] = *first;
   Network* net = ours->network();
-  if (payload.size() > net->model().mtu)
+  std::size_t mtu = route != nullptr ? route->mtu : net->model().mtu;
+  if (payload.size() > mtu)
     return Error{Errc::invalid_argument,
-                 "datagram of " + std::to_string(payload.size()) + " bytes exceeds MTU " +
-                     std::to_string(net->model().mtu) + " on " + net->name()};
+                 "datagram of " + std::to_string(payload.size()) + " bytes exceeds " +
+                     (route != nullptr ? "route MTU " + std::to_string(mtu) + " towards " +
+                                             dst.host
+                                       : "MTU " + std::to_string(mtu) + " on " + net->name())};
 
-  // The sender's own engine clocks serialization: a host's sends always run
-  // on its shard's thread (or on the coordinator at a window barrier).
-  Engine& engine = *engine_;
-  SimTime start = std::max(engine.now(), ours->next_free());
-  SimDuration ser = net->model().serialize_time(payload.size());
-  ours->set_next_free(start + ser);
-  ours->note_tx(payload.size(), ser);
-  SimTime arrival = ours->next_free() + net->model().latency;
-
-  net->stats().packets_sent++;
-  net->stats().bytes_sent += payload.size();
-
-  bool lost = rng_.chance(net->total_loss());
-  if (lost) {
-    net->stats().drops_loss++;
-    return net->name();  // like UDP: the sender cannot tell
-  }
-
+  SimTime arrival = ours->transmit(payload.size());
+  if (!net->carry(payload.size(), rng_)) return net->name();  // like UDP: the sender cannot tell
   Packet packet{Address{name_, opts.src_port}, dst, std::move(payload), net->name()};
-  schedule_delivery(world_, net, dst_host, arrival, std::move(packet));
-  return net->name();
-}
-
-Result<std::string> Host::send_routed(const Address& dst, Host* dst_host, Payload payload,
-                                      const SendOptions& opts) {
-  std::shared_ptr<const Route> route = world_->resolve_route(*this, dst.host);
-  if (route == nullptr)
-    return Error{Errc::unreachable, "no shared network between " + name_ + " and " + dst.host};
-  if (payload.size() > route->mtu)
-    return Error{Errc::invalid_argument,
-                 "datagram of " + std::to_string(payload.size()) +
-                     " bytes exceeds route MTU " + std::to_string(route->mtu) + " towards " +
-                     dst.host};
-
-  // First hop: charged against our own NIC exactly like a direct send (same
-  // contention clock, same stats, same single loss draw from our RNG).
-  Nic* ours = route->hops[0].tx;
-  Network* net = route->hops[0].net;
-  Engine& engine = *engine_;
-  SimTime start = std::max(engine.now(), ours->next_free());
-  SimDuration ser = net->model().serialize_time(payload.size());
-  ours->set_next_free(start + ser);
-  ours->note_tx(payload.size(), ser);
-  SimTime arrival = ours->next_free() + net->model().latency;
-
-  net->stats().packets_sent++;
-  net->stats().bytes_sent += payload.size();
-
-  if (rng_.chance(net->total_loss())) {
-    net->stats().drops_loss++;
-    return net->name();
-  }
-
-  Packet packet{Address{name_, opts.src_port}, dst, std::move(payload), net->name()};
-  if (route->hops.size() == 1) {
-    schedule_delivery(world_, net, dst_host, arrival, std::move(packet));
-    return net->name();
-  }
-  World* world = world_;
-  judge_and_post(net, name_, arrival, std::move(packet),
-                 [world, &route](SimTime when, Packet p) {
-                   world->post_hop(route, 1, when, std::move(p));
-                 });
+  world_->judge_and_post(net, name_, arrival, std::move(packet), dst_host, route, 1);
   return net->name();
 }
 
@@ -320,28 +223,17 @@ Result<void> Host::broadcast(const std::string& network, std::uint16_t port, Pay
   if (payload.size() > net->model().mtu)
     return Error{Errc::invalid_argument, "broadcast exceeds MTU on " + network};
 
-  Engine& engine = *engine_;
-  SimTime start = std::max(engine.now(), ours->next_free());
-  SimDuration ser = net->model().serialize_time(payload.size());
-  ours->set_next_free(start + ser);
-  ours->note_tx(payload.size(), ser);
-  SimTime arrival = ours->next_free() + net->model().latency;
-
   // One serialization, one arrival event per receiver — shared-medium
   // broadcast, with loss drawn independently per receiver.  Routers on the
   // segment do not receive broadcasts.
+  SimTime arrival = ours->transmit(payload.size());
   for (Nic* nic : net->nics()) {
     Host* target = nic->host();
     if (target == this || target == nullptr) continue;
-    net->stats().packets_sent++;
-    net->stats().bytes_sent += payload.size();
-    if (rng_.chance(net->total_loss())) {
-      net->stats().drops_loss++;
-      continue;
-    }
+    if (!net->carry(payload.size(), rng_)) continue;
     Packet packet{Address{name_, src_port}, Address{target->name(), port}, payload,
                   net->name()};
-    schedule_delivery(world_, net, target, arrival, std::move(packet));
+    world_->judge_and_post(net, name_, arrival, std::move(packet), target, nullptr, 0);
   }
   return ok_result();
 }
@@ -576,33 +468,44 @@ void World::forward_hop(std::shared_ptr<const Route> route, std::size_t i, Packe
     net->stats().drops_down++;
     return;
   }
-  Engine& engine = node->engine();
-  SimTime start = std::max(engine.now(), tx->next_free());
-  SimDuration ser = net->model().serialize_time(packet.payload.size());
-  tx->set_next_free(start + ser);
-  tx->note_tx(packet.payload.size(), ser);
-  SimTime arrival = tx->next_free() + net->model().latency;
-
-  net->stats().packets_sent++;
-  net->stats().bytes_sent += packet.payload.size();
-
-  if (node->rng().chance(net->total_loss())) {
-    net->stats().drops_loss++;
-    return;
-  }
-
+  SimTime arrival = tx->transmit(packet.payload.size());
+  if (!net->carry(packet.payload.size(), node->rng())) return;
   packet.network = net->name();
-  if (i + 1 == route->hops.size()) {
-    judge_and_post(net, node->name(), arrival, std::move(packet),
-                   [this, net, &route](SimTime when, Packet p) {
-                     post_delivery(net, route->dst, when, std::move(p));
-                   });
-    return;
+  judge_and_post(net, node->name(), arrival, std::move(packet), route->dst, route, i + 1);
+}
+
+void World::judge_and_post(Network* net, const std::string& lane, SimTime arrival,
+                           Packet packet, Host* target,
+                           const std::shared_ptr<const Route>& route, std::size_t next) {
+  auto post = [&](SimTime when, Packet p) {
+    if (route != nullptr && next < route->hops.size())
+      post_hop(route, next, when, std::move(p));
+    else
+      post_delivery(net, target, when, std::move(p));
+  };
+  // `lane` is the transmitting node: the sending host on the first hop, the
+  // forwarding router on interior hops, so every injector lane stays
+  // confined to one shard's thread.  Partition boundaries are judged on
+  // the packet's end-to-end (src, dst) pair regardless of the lane.
+  if (FaultInjector* fault = net->fault()) {
+    FaultVerdict v = fault->judge(lane, packet.src.host, packet.dst.host);
+    if (v.drop) {
+      net->stats().drops_fault++;
+      return;
+    }
+    if (v.corrupt) {
+      fault->corrupt_payload(packet.payload, lane);
+      net->stats().fault_corruptions++;
+    }
+    if (v.copies > 1) {
+      net->stats().fault_duplicates += static_cast<std::uint64_t>(v.copies - 1);
+      // The duplicate is posted first: at equal arrival times post order
+      // decides delivery order.
+      post(arrival + v.extra_delay + v.dup_delay, packet);
+    }
+    arrival += v.extra_delay;
   }
-  judge_and_post(net, node->name(), arrival, std::move(packet),
-                 [this, &route, i](SimTime when, Packet p) {
-                   post_hop(route, i + 1, when, std::move(p));
-                 });
+  post(arrival, std::move(packet));
 }
 
 void World::post_hop(std::shared_ptr<const Route> route, std::size_t i, SimTime when,

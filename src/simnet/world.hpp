@@ -7,20 +7,26 @@
 // comms module.  Reliability, fragmentation, streams and multicast all live
 // one layer up, in snipe::transport, as they did in the paper (§6).
 //
-// Topology comes in two shapes:
+// Topology comes in two shapes, served by one datagram path:
 //
 //  * Flat (the original model): hosts share media directly, and two hosts
 //    can talk iff a common network is up between them.  Everything built
-//    through create_network/create_host/attach behaves bit-for-bit as it
-//    always has — no routes, no extra RNG draws.
+//    through create_network/create_host/attach resolves no routes and makes
+//    no extra RNG draws.
 //  * Zoned (simnet/topo.hpp): a tree of routing Zones whose leaves are
 //    media segments and whose interior nodes are fat-tree clusters, star
 //    LANs and WAN interconnects joined by gateway *routers*.  A datagram
-//    between hosts with no shared medium resolves a multi-hop route
-//    (cached per host pair, invalidated whenever topology state changes);
-//    each hop pays serialize + propagation on its medium, and per-NIC
-//    bandwidth sharing charges every flow crossing a shared link — incast
-//    into a rack and thin-pipe WAN bottlenecks emerge from the model.
+//    between hosts with no shared medium takes a multi-hop route (cached
+//    per host pair, invalidated whenever topology state changes).
+//
+// A send picks its first hop (a shared network, else the route's); then
+// every transmission — that first hop, each router's forward, a
+// broadcast's single serialization — runs one transmit step (Nic::transmit:
+// serialize on the egress NIC's contention clock, then propagate;
+// Network::carry: count and draw media loss) and one continuation
+// (fault-judge, then deliver or forward).  Per-NIC bandwidth sharing
+// charges every flow crossing a shared link, so incast into a rack and
+// thin-pipe WAN bottlenecks emerge from the model.
 //
 // Failure injection is first-class: hosts, routers, networks and individual
 // NICs can be taken down and brought back at any virtual time; in-flight
@@ -102,18 +108,18 @@ class Nic {
   /// owning shard's thread; stored relaxed-atomic so the watchtower sampler
   /// can probe queue depth (next_free - now) cross-thread, like busy_ns().
   SimTime next_free() const { return next_free_.load(std::memory_order_relaxed); }
-  void set_next_free(SimTime t) { next_free_.store(t, std::memory_order_relaxed); }
 
   /// Lifetime egress accounting, read cross-thread by the /topo dump.
   std::uint64_t tx_packets() const { return tx_packets_.load(std::memory_order_relaxed); }
   std::uint64_t tx_bytes() const { return tx_bytes_.load(std::memory_order_relaxed); }
   /// Virtual nanoseconds this NIC spent serializing (utilization numerator).
   std::uint64_t busy_ns() const { return busy_ns_.load(std::memory_order_relaxed); }
-  void note_tx(std::size_t bytes, SimDuration ser) {
-    tx_packets_.fetch_add(1, std::memory_order_relaxed);
-    tx_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    busy_ns_.fetch_add(static_cast<std::uint64_t>(ser), std::memory_order_relaxed);
-  }
+
+  /// The egress half of every transmission: serializes `bytes` onto the
+  /// network once the NIC is free (no earlier than the owning node's now),
+  /// charges the egress accounting, and returns the arrival time at the far
+  /// end of the medium.  Runs on the owning node's shard thread.
+  SimTime transmit(std::size_t bytes);
 
  private:
   Node* node_;
@@ -158,6 +164,10 @@ class Network {
   /// sweeps); total per-packet drop probability is baseline + extra.
   void set_extra_loss(double p) { extra_loss_ = p; }
   double total_loss() const { return model_.loss + extra_loss_; }
+  /// Counts one datagram of `bytes` sent onto this medium and draws its
+  /// media loss from `rng` (the transmitting node's).  Returns false, and
+  /// counts the drop, when the medium lost it.
+  bool carry(std::size_t bytes, Rng& rng);
 
   const std::vector<Nic*>& nics() const { return nics_; }
   NetStats& stats() { return stats_; }
@@ -188,7 +198,7 @@ class Network {
 /// Options for a single send.
 struct SendOptions {
   /// If nonempty, try this network first even if a faster one is shared
-  /// (direct candidates only; routed sends pick their own path).
+  /// (shared networks only; a routed send's path is the resolved route).
   std::string preferred_network;
   /// Stamped into the delivered Packet's src.port so receivers can reply.
   std::uint16_t src_port = 0;
@@ -286,16 +296,15 @@ class Host : public Node {
   /// Picks an unused ephemeral port (49152+).
   std::uint16_t ephemeral_port();
 
-  /// Sends one datagram.  With a shared up network the fastest one wins
-  /// (§5.3), honouring `preferred_network` when it is available — exactly
-  /// the flat model.  With no shared network and a zoned topology, the
-  /// datagram takes the resolved multi-hop route, paying serialize +
-  /// propagation per hop and sharing every link it crosses.  Fails with
+  /// Sends one datagram.  The first hop is the fastest shared up network
+  /// (§5.3), honouring `preferred_network` when it is shared; with none
+  /// shared it is the first hop of the cached resolved route, and the
+  /// datagram pays serialize + propagation on every hop.  Fails with
   ///   invalid_argument  if payload exceeds the chosen network's (or the
   ///                     route's bottleneck) MTU,
   ///   unreachable       if no path exists or the host is down.
-  /// On success returns the name of the first-hop network.  Loss is applied
-  /// at delivery time; a lost packet still returns success here, as with
+  /// On success returns the name of the first-hop network.  A datagram lost
+  /// on the medium or by the fault injector still returns success, as with
   /// UDP.
   Result<std::string> send(const Address& dst, Payload payload, const SendOptions& opts = {});
 
@@ -312,16 +321,6 @@ class Host : public Node {
  private:
   friend class World;
   void deliver(Packet packet, Network* network);
-  /// Runs one about-to-fly datagram through `net`'s fault injector (if any)
-  /// and posts the surviving copies for delivery at `target` — directly
-  /// onto the target's engine when it shares the sender's shard, through
-  /// the cross-shard mailbox otherwise.
-  static void schedule_delivery(World* world, Network* net, Host* target,
-                                SimTime arrival, Packet packet);
-  /// The no-shared-network continuation of send(): resolve a route and
-  /// launch the packet down it.
-  Result<std::string> send_routed(const Address& dst, Host* dst_host, Payload payload,
-                                  const SendOptions& opts);
 
   std::map<std::uint16_t, PacketHandler> ports_;
   std::uint16_t next_ephemeral_ = 49152;
@@ -511,13 +510,20 @@ class World {
   /// the coordinator), otherwise appends to mail_[calling shard][shard].
   void post_event(std::size_t shard, Engine* engine, SimTime arrival, EventFn fn);
   void post_delivery(Network* net, Host* target, SimTime arrival, Packet packet);
+  /// The continuation of every transmission: runs the datagram that just
+  /// crossed `net` through its fault injector (if any) on `lane` — the
+  /// transmitting node — and posts each surviving copy as hop `next` of
+  /// `route`, or for delivery at `target` when the route ends there (a
+  /// null route is one hop).
+  void judge_and_post(Network* net, const std::string& lane, SimTime arrival, Packet packet,
+                      Host* target, const std::shared_ptr<const Route>& route,
+                      std::size_t next);
   /// Schedules hop `i` of `route` (a forward on the hop's tx node) at
   /// `when`, crossing shards through the mailbox when needed.
   void post_hop(std::shared_ptr<const Route> route, std::size_t i, SimTime when,
                 Packet packet);
-  /// Executes hop `i`: down checks, serialize on the egress NIC (sharing
-  /// bandwidth with every other flow crossing it), loss, fault injection,
-  /// then delivery (last hop) or the next forward.
+  /// Executes hop `i` on its router: down checks, then the shared transmit
+  /// step and judge_and_post.
   void forward_hop(std::shared_ptr<const Route> route, std::size_t i, Packet packet);
   /// Uncached shortest-path resolution behind resolve_route.
   std::shared_ptr<const Route> compute_route(Host& src, Host& dst);

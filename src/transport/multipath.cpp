@@ -9,7 +9,7 @@ namespace snipe::transport {
 
 bool MultipathPolicy::on_success(SimTime now) {
   consecutive_timeouts_ = 0;
-  if (preferred_.empty() || probe_quiet_ <= 0 || now < 0) return false;
+  if (preferred_.empty() || probe_quiet_ <= 0) return false;
   if (last_timeout_ >= 0 && now - last_timeout_ < probe_quiet_) return false;
   // The detour has been quiet long enough: drop the explicit preference so
   // the next send re-probes the default (fastest) route.

@@ -43,9 +43,8 @@ class MultipathPolicy {
   /// Record a successful round trip on the current route.  `now` is the
   /// caller's clock (virtual time); when a failover route has been quiet
   /// for `probe_quiet`, the preference resets to the default route and this
-  /// returns true (a *probe*).  Callers without a clock can omit `now`,
-  /// which only resets the failure count.
-  bool on_success(SimTime now = -1);
+  /// returns true (a *probe*).
+  bool on_success(SimTime now);
 
   /// Record a retransmission timeout.  When the threshold is reached the
   /// policy rotates to the next up network on `host` (wrapping, skipping

@@ -430,7 +430,7 @@ TEST(Fault, GilbertElliottEmpiricalLossNearStationaryMean) {
   const int n = 20000;
   int dropped = 0;
   for (int i = 0; i < n; ++i)
-    if (inj.judge("a", "b").drop) ++dropped;
+    if (inj.judge("a", "a", "b").drop) ++dropped;
   EXPECT_NEAR(static_cast<double>(dropped) / n, profile.burst.mean_loss(), 0.03);
   EXPECT_EQ(inj.stats().packets_judged, static_cast<std::uint64_t>(n));
   EXPECT_EQ(inj.stats().drops_burst, static_cast<std::uint64_t>(dropped));
@@ -442,7 +442,7 @@ TEST(Fault, PartitionBlocksAcrossGroupsOnly) {
   EXPECT_TRUE(inj.partition_active());
   EXPECT_FALSE(inj.partitioned("a", "b"));  // same group
   EXPECT_TRUE(inj.partitioned("a", "c"));   // across groups
-  EXPECT_TRUE(inj.judge("a", "c").drop);
+  EXPECT_TRUE(inj.judge("a", "a", "c").drop);
   EXPECT_EQ(inj.stats().drops_partition, 1u);
   // Unnamed hosts share an implicit group: together, but cut off from all
   // named groups.
@@ -452,7 +452,7 @@ TEST(Fault, PartitionBlocksAcrossGroupsOnly) {
   inj.heal_partition();
   EXPECT_FALSE(inj.partition_active());
   EXPECT_FALSE(inj.partitioned("a", "c"));
-  EXPECT_FALSE(inj.judge("a", "c").drop);
+  EXPECT_FALSE(inj.judge("a", "a", "c").drop);
 }
 
 TEST(Fault, CorruptPayloadFlipsBoundedBytesAndSkipsEmpty) {
@@ -460,11 +460,11 @@ TEST(Fault, CorruptPayloadFlipsBoundedBytesAndSkipsEmpty) {
   profile.corrupt_max_bytes = 3;
   FaultInjector inj(profile, Rng(5));
   Bytes empty;
-  inj.corrupt_payload(empty);  // must not crash or grow
+  inj.corrupt_payload(empty, "");  // must not crash or grow
   EXPECT_TRUE(empty.empty());
   for (int trial = 0; trial < 50; ++trial) {
     Bytes wire(64, 0xAB);
-    inj.corrupt_payload(wire);
+    inj.corrupt_payload(wire, "");
     ASSERT_EQ(wire.size(), 64u);
     int flipped = 0;
     for (auto b : wire)
@@ -479,7 +479,7 @@ TEST(Fault, DuplicationAlwaysYieldsTwoCopiesAtProbabilityOne) {
   profile.duplicate = 1.0;
   FaultInjector inj(profile, Rng(7));
   for (int i = 0; i < 20; ++i) {
-    auto v = inj.judge("a", "b");
+    auto v = inj.judge("a", "a", "b");
     EXPECT_FALSE(v.drop);
     EXPECT_EQ(v.copies, 2);
   }
@@ -494,8 +494,8 @@ TEST(Fault, SameSeedSameVerdictSequence) {
   profile.corrupt = 0.1;
   FaultInjector x(profile, Rng(4242)), y(profile, Rng(4242));
   for (int i = 0; i < 500; ++i) {
-    auto a = x.judge("a", "b");
-    auto b = y.judge("a", "b");
+    auto a = x.judge("a", "a", "b");
+    auto b = y.judge("a", "a", "b");
     EXPECT_EQ(a.drop, b.drop) << i;
     EXPECT_EQ(a.corrupt, b.corrupt) << i;
     EXPECT_EQ(a.copies, b.copies) << i;

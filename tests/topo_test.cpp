@@ -196,6 +196,95 @@ TEST(Topo, RoutedDeliveryAccumulatesPerHopSerializeAndPropagate) {
                               2 * (ser_up + opt.uplink_media.latency));
 }
 
+TEST(Topo, TransmitStepAccountsDirectBroadcastAndEveryRoutedHop) {
+  // Direct sends, broadcasts and every hop of a routed send share one
+  // transmit step; its egress (Nic) and medium (NetStats) accounting must
+  // be exact on each.
+  World world(29);
+  FatTreeOptions opt;
+  opt.racks = 2;
+  opt.hosts_per_rack = 4;
+  opt.spines = 2;
+  opt.uplink_media = ethernet10();  // a different serialize time per tier
+  build_fat_tree(world, "dc", opt);
+  Host& src = *world.host("dc/h0_0");
+  int delivered = 0;
+  for (const auto& [name, host] : world.hosts()) {
+    if (host.get() == &src) continue;
+    ASSERT_TRUE(host->bind(9, [&](const Packet&) { ++delivered; }).ok());
+  }
+
+  struct Tx {
+    std::uint64_t packets, bytes, busy;
+    SimTime next_free;
+  };
+  auto tx = [](const Nic* n) {
+    return Tx{n->tx_packets(), n->tx_bytes(), n->busy_ns(), n->next_free()};
+  };
+  auto sent = [](const Network* n) {
+    return std::pair{n->stats().packets_sent.load(), n->stats().bytes_sent.load()};
+  };
+  // One transmission of `bytes` starting at `start` on `nic`, given its
+  // counters before.
+  auto expect_tx = [&](const Nic* nic, const Tx& before, std::size_t bytes, SimTime start) {
+    SimDuration ser = nic->network()->model().serialize_time(bytes);
+    EXPECT_EQ(nic->tx_packets(), before.packets + 1) << nic->network()->name();
+    EXPECT_EQ(nic->tx_bytes(), before.bytes + bytes) << nic->network()->name();
+    EXPECT_EQ(nic->busy_ns(), before.busy + static_cast<std::uint64_t>(ser))
+        << nic->network()->name();
+    EXPECT_EQ(nic->next_free(), start + ser) << nic->network()->name();
+  };
+  const std::size_t kBytes = 1000;
+  Nic* ours = src.nic_on("dc/rack0");
+  Network* rack0 = world.network("dc/rack0");
+
+  // Direct: one transmission, one datagram on the medium.
+  Tx nic0 = tx(ours);
+  auto net0 = sent(rack0);
+  SimTime t0 = world.engine().now();
+  auto r = src.send(Address{"dc/h0_1", 9}, Payload(Bytes(kBytes, 1)));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value(), "dc/rack0");
+  expect_tx(ours, nic0, kBytes, t0);
+  EXPECT_EQ(sent(rack0), std::pair(net0.first + 1, net0.second + kBytes));
+  world.run_all();
+  EXPECT_EQ(delivered, 1);
+
+  // Broadcast to the three other hosts on the rack (the ToR router is not
+  // a receiver): one serialization, three datagrams on the medium.
+  nic0 = tx(ours);
+  net0 = sent(rack0);
+  t0 = world.engine().now();
+  ASSERT_TRUE(src.broadcast("dc/rack0", 9, Payload(Bytes(kBytes, 2))).ok());
+  expect_tx(ours, nic0, kBytes, t0);
+  EXPECT_EQ(sent(rack0), std::pair(net0.first + 3, net0.second + 3 * kBytes));
+  world.run_all();
+  EXPECT_EQ(delivered, 4);
+
+  // Routed: every hop's tx NIC transmits once, starting when the packet
+  // reaches it, and every hop's network carries one datagram.
+  auto route = world.resolve_route(src, "dc/h1_0");
+  ASSERT_NE(route, nullptr);
+  ASSERT_EQ(route->hops.size(), 4u);
+  std::vector<Tx> nics;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> nets;
+  for (const RouteHop& hop : route->hops) {
+    nics.push_back(tx(hop.tx));
+    nets.push_back(sent(hop.net));
+  }
+  SimTime at = world.engine().now();
+  ASSERT_TRUE(src.send(Address{"dc/h1_0", 9}, Payload(Bytes(kBytes, 3))).ok());
+  world.run_all();
+  EXPECT_EQ(delivered, 5);
+  for (std::size_t i = 0; i < route->hops.size(); ++i) {
+    const RouteHop& hop = route->hops[i];
+    expect_tx(hop.tx, nics[i], kBytes, at);
+    EXPECT_EQ(sent(hop.net), std::pair(nets[i].first + 1, nets[i].second + kBytes))
+        << hop.net->name();
+    at += hop.net->model().serialize_time(kBytes) + hop.net->model().latency;
+  }
+}
+
 TEST(Topo, NoRouteIsAnErrorNotACrash) {
   World world(9);
   build_lan(world, "island_a", 1, ethernet100());

@@ -541,7 +541,7 @@ TEST(Multipath, SwitchesAfterThresholdAndResetsOnSuccess) {
   MultipathPolicy policy(2);
   EXPECT_EQ(policy.preferred(), "");
   EXPECT_FALSE(policy.on_timeout(h));  // 1st timeout: below threshold
-  policy.on_success();                 // resets the counter
+  policy.on_success(world.engine().now());  // resets the counter
   EXPECT_FALSE(policy.on_timeout(h));
   EXPECT_TRUE(policy.on_timeout(h));  // 2nd consecutive: switch
   // Fastest is atm; the switch must move us off it.
@@ -575,11 +575,6 @@ TEST(Multipath, ProbesDefaultRouteAfterQuietPeriod) {
   EXPECT_TRUE(policy.on_success(switched_at + duration::seconds(2)));
   EXPECT_EQ(policy.preferred(), "");
   EXPECT_EQ(policy.probes(), 1);
-  // The legacy no-argument form only clears the failure streak.
-  EXPECT_TRUE(policy.on_timeout(h));
-  EXPECT_EQ(policy.preferred(), "eth");
-  policy.on_success();
-  EXPECT_EQ(policy.preferred(), "eth");
 }
 
 TEST(Multipath, SingleNetworkHasNowhereToGo) {

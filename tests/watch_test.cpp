@@ -373,12 +373,14 @@ TEST(FleetWatch, BeaconStaleFiresPerHostAndResolvesOnFreshPoints) {
 
 // ---- Watchtower: the per-host daemon wiring --------------------------------
 
-/// Strong no-op ticks that keep run_until() alive: every watchtower and
-/// exporter timer is weak by contract (housekeeping must not keep a
-/// simulation running), so an otherwise-idle soak world needs a pulse.
+/// Strong no-op ticks from now until `until` that keep run_until() alive:
+/// every watchtower and exporter timer is weak by contract (housekeeping
+/// must not keep a simulation running), so an otherwise-idle soak world
+/// needs a pulse.  Ticks start one step after now: the engine's clock never
+/// runs backwards, so nothing may be scheduled in its past.
 void keep_alive(simnet::Engine& engine, SimTime until,
                 SimDuration step = duration::milliseconds(250)) {
-  for (SimTime t = step; t <= until; t += step) engine.schedule_at(t, [] {});
+  for (SimTime t = engine.now() + step; t <= until; t += step) engine.schedule_at(t, [] {});
 }
 
 TEST(Watchtower, ScrapesOnVirtualClockSamplesLinksAndFreezesWhileDown) {
