@@ -1,7 +1,9 @@
 #include "core/console.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string_view>
@@ -142,10 +144,182 @@ std::string fleet_health_report(const obs::FleetStore& store, std::int64_t now_n
   return out;
 }
 
+namespace {
+
+/// Param values bound by name: the console binds its positional words, the
+/// gateway its query string.
+using Args = std::map<std::string, std::string, std::less<>>;
+
+/// What a view's renderer sees: the answering process, its attachments and
+/// the bound params (absent ones read as "").
+struct ViewCall {
+  SnipeProcess& process;
+  const OpsAttachments& attached;
+  const Args& args;
+
+  const std::string& operator[](std::string_view param) const {
+    static const std::string none;
+    auto it = args.find(param);
+    return it == args.end() ? none : it->second;
+  }
+};
+
+/// Attachment bits a view needs before it can render.
+enum Needs : unsigned { kFleet = 1, kSeries = 2, kAlerts = 4, kFleetWatch = 8 };
+
+struct Param {
+  std::string_view name;
+  bool required = false;
+};
+
+struct View {
+  std::string_view name;  ///< gateway path minus the leading '/'
+  std::vector<Param> params;
+  unsigned needs = 0;
+  std::string (*render)(const ViewCall&);
+};
+
+/// `text` as a positive integer, or `fallback` when absent or malformed.
+std::uint64_t positive_or(const std::string& text, std::uint64_t fallback) {
+  char* end = nullptr;
+  unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+  return end != text.c_str() && v > 0 ? v : fallback;
+}
+
+std::string or_empty_note(std::string text, const char* note) {
+  return text.empty() ? note : text;
+}
+
+/// The one table of observability views (documented on OpsViews).
+const View kViews[] = {
+    {"metrics", {{"prefix"}}, 0,
+     [](const ViewCall& c) {
+       return or_empty_note(
+           filter_lines(obs::MetricsRegistry::global().format_text(), c["prefix"]),
+           "(no metrics recorded)");
+     }},
+    {"trace", {{"id", true}}, 0,
+     [](const ViewCall& c) { return trace_report(obs::Tracer::global().events(), c["id"]); }},
+    {"flight", {{"host"}}, 0,
+     [](const ViewCall& c) { return obs::FlightRecorder::global().dump(c["host"]); }},
+    {"health", {}, 0,
+     [](const ViewCall&) { return health_report(obs::MetricsRegistry::global().snapshot()); }},
+    // Where contention and partitions live: the zone tree with per-link
+    // utilization and up/down state, straight from the simulated world.
+    {"topo", {{"window_s"}}, 0,
+     [](const ViewCall& c) {
+       auto window_s = static_cast<std::int64_t>(positive_or(c["window_s"], 10));
+       return c.process.host().world()->describe_topology(c.attached.series,
+                                                          duration::seconds(window_s));
+     }},
+    {"series", {{"prefix"}}, kSeries,
+     [](const ViewCall& c) { return c.attached.series->format_text(c["prefix"]); }},
+    {"alerts", {}, kAlerts, [](const ViewCall& c) { return c.attached.alerts->format_text(); }},
+    {"fleet/metrics", {{"prefix"}}, kFleet,
+     [](const ViewCall& c) {
+       return or_empty_note(c.attached.fleet->format_metrics(c["prefix"]), "(no fleet metrics)");
+     }},
+    {"fleet/health", {}, kFleet,
+     [](const ViewCall& c) {
+       return fleet_health_report(*c.attached.fleet, obs::Tracer::global().now());
+     }},
+    {"fleet/flight", {{"host"}}, kFleet,
+     [](const ViewCall& c) { return c.attached.fleet->format_flight(c["host"]); }},
+    {"fleet/top", {{"n"}}, kFleet,
+     [](const ViewCall& c) {
+       return c.attached.fleet->format_top(static_cast<std::size_t>(positive_or(c["n"], 5)));
+     }},
+    {"fleet/series", {{"host"}, {"prefix"}}, kFleet,
+     [](const ViewCall& c) { return c.attached.fleet->format_series(c["host"], c["prefix"]); }},
+    {"fleet/alerts", {}, kFleet | kFleetWatch,
+     [](const ViewCall& c) { return c.attached.fleet_watch->format_text(); }},
+};
+
+/// Splits "/metrics?prefix=srudp." into the path and its query parameters.
+/// No percent-decoding: every value the endpoints accept (metric prefixes,
+/// host names, flow ids) is plain text already.
+std::pair<std::string, Args> parse_target(const std::string& target) {
+  auto qpos = target.find('?');
+  std::string path = target.substr(0, qpos);
+  Args params;
+  if (qpos != std::string::npos) {
+    std::istringstream query(target.substr(qpos + 1));
+    std::string pair;
+    while (std::getline(query, pair, '&')) {
+      auto eq = pair.find('=');
+      if (eq == std::string::npos)
+        params[pair] = "";
+      else
+        params[pair.substr(0, eq)] = pair.substr(eq + 1);
+    }
+  }
+  return {std::move(path), std::move(params)};
+}
+
+const View* find_view(std::string_view name) {
+  for (const auto& v : kViews)
+    if (v.name == name) return &v;
+  return nullptr;
+}
+
+/// How a front end spells a view: "fleet series [host] [prefix]" on the
+/// console, "/trace?id=<id>" over HTTP.
+std::string spell(const View& v, bool http) {
+  std::string out = http ? "/" + std::string(v.name) : std::string(v.name);
+  if (!http) std::replace(out.begin(), out.end(), '/', ' ');
+  for (std::size_t i = 0; i < v.params.size(); ++i) {
+    std::string p(v.params[i].name);
+    std::string word = http ? (i == 0 ? "?" : "&") + p + "=<" + p + ">" : " <" + p + ">";
+    if (!v.params[i].required) word = http ? "[" + word + "]" : " [" + p + "]";
+    out += word;
+  }
+  return out;
+}
+
+/// The console usage for the views in `group`: "" for the top-level ones,
+/// else the first word of the multi-word names ("fleet").
+std::string usage_line(std::string_view group) {
+  std::string out;
+  for (const auto& v : kViews) {
+    auto slash = v.name.find('/');
+    if ((slash == std::string_view::npos ? "" : v.name.substr(0, slash)) != group) continue;
+    out += (out.empty() ? "" : " | ") + spell(v, false);
+  }
+  return out;
+}
+
+/// The text for the first attachment `needs` names that is missing, or
+/// nullptr when all are attached.
+const char* unattached(unsigned needs, const OpsAttachments& a) {
+  if ((needs & kFleet) && a.fleet == nullptr) return "no fleet collector attached";
+  if (((needs & kSeries) && a.series == nullptr) || ((needs & kAlerts) && a.alerts == nullptr))
+    return "no watchtower attached";
+  if ((needs & kFleetWatch) && a.fleet_watch == nullptr) return "no fleet watch attached";
+  return nullptr;
+}
+
+/// One view answered for either front end: the text plus the status the
+/// gateway sends with it (400 with the usage for a missing required param,
+/// 404 for a missing attachment).
+struct Answer {
+  int status = 200;
+  std::string text;
+};
+
+Answer answer(const View& v, const ViewCall& call, bool http) {
+  for (const auto& p : v.params)
+    if (p.required && call[p.name].empty()) return {400, "usage: " + spell(v, http)};
+  if (const char* missing = unattached(v.needs, call.attached)) return {404, missing};
+  return {200, v.render(call)};
+}
+
+}  // namespace
+
 void Console::interpret(const std::string& line, std::function<void(std::string)> reply) {
-  std::istringstream parts(trim(line));
-  std::string verb, arg;
-  parts >> verb >> arg;
+  std::istringstream parts(line);
+  const std::vector<std::string> words{std::istream_iterator<std::string>(parts), {}};
+  const std::string verb = words.empty() ? "" : words[0];
+  const std::string arg = words.size() > 1 ? words[1] : "";
 
   if (verb == "ps" && !arg.empty()) {
     processes_on_host(arg, [reply = std::move(reply), arg](
@@ -195,90 +369,24 @@ void Console::interpret(const std::string& line, std::function<void(std::string)
                          });
     return;
   }
-  if (verb == "metrics") {
-    // Operator scrape of the whole simulation's registry (optionally
-    // filtered by prefix: "metrics srudp.").
-    std::string out = filter_lines(obs::MetricsRegistry::global().format_text(), arg);
-    reply(out.empty() ? "(no metrics recorded)" : out);
-    return;
-  }
-  if (verb == "trace" && !arg.empty()) {
-    reply(trace_report(obs::Tracer::global().events(), arg));
-    return;
-  }
-  if (verb == "flight") {
-    reply(obs::FlightRecorder::global().dump(arg));
-    return;
-  }
-  if (verb == "health") {
-    reply(health_report(obs::MetricsRegistry::global().snapshot()));
-    return;
-  }
-  if (verb == "topo") {
-    // Where contention and partitions live: the zone tree with per-link
-    // utilization and up/down state, straight from the simulated world.
-    // With a watchtower attached, utilization is windowed (trailing 10s)
-    // instead of cumulative-since-boot.
-    reply(process_.host().world()->describe_topology(series_, duration::seconds(10)));
-    return;
-  }
-  if (verb == "series") {
-    reply(series_ == nullptr ? "series: no watchtower attached to this console"
-                             : series_->format_text(arg));
-    return;
-  }
-  if (verb == "alerts") {
-    reply(alerts_ == nullptr ? "alerts: no watchtower attached to this console"
-                             : alerts_->format_text());
+  // A view: one word names a top-level view, two a grouped one ("fleet
+  // top"); the words after the name bind to its params in order.
+  for (std::size_t name_words = 1; name_words <= std::min<std::size_t>(2, words.size());
+       ++name_words) {
+    const View* view = find_view(name_words == 1 ? verb : verb + "/" + arg);
+    if (view == nullptr || verb.find('/') != std::string::npos) continue;
+    Args args;
+    for (std::size_t i = 0; i < view->params.size() && name_words + i < words.size(); ++i)
+      args.emplace(view->params[i].name, words[name_words + i]);
+    reply(answer(*view, {process_, attached_, args}, /*http=*/false).text);
     return;
   }
   if (verb == "fleet") {
-    if (fleet_ == nullptr) {
-      reply("fleet: no collector attached to this console");
-      return;
-    }
-    std::string arg2;
-    parts >> arg2;
-    if (arg == "metrics") {
-      std::string out = fleet_->format_metrics(arg2);
-      reply(out.empty() ? "(no fleet metrics)" : out);
-      return;
-    }
-    if (arg == "health") {
-      reply(fleet_health_report(*fleet_, obs::Tracer::global().now()));
-      return;
-    }
-    if (arg == "flight") {
-      reply(fleet_->format_flight(arg2));
-      return;
-    }
-    if (arg == "top") {
-      std::size_t n = 5;
-      if (!arg2.empty()) {
-        char* end = nullptr;
-        unsigned long long v = std::strtoull(arg2.c_str(), &end, 10);
-        if (end != arg2.c_str() && v > 0) n = static_cast<std::size_t>(v);
-      }
-      reply(fleet_->format_top(n));
-      return;
-    }
-    if (arg == "series") {
-      reply(fleet_->format_series(arg2, ""));
-      return;
-    }
-    if (arg == "alerts") {
-      reply(fleet_watch_ == nullptr ? "fleet alerts: no fleet watch attached"
-                                    : fleet_watch_->format_text());
-      return;
-    }
-    reply("usage: fleet metrics [prefix] | fleet health | fleet flight [host] | "
-          "fleet top [n] | fleet series [host] | fleet alerts");
+    reply("usage: " + usage_line("fleet"));
     return;
   }
-  reply(
-      "usage: ps <host-url> | state <urn> | meta <uri> | where <urn> | routers <group> | "
-      "metrics [prefix] | trace <id> | flight [host] | health | topo | series [prefix] | "
-      "alerts | fleet <sub> [arg]");
+  reply("usage: ps <host-url> | state <urn> | meta <uri> | where <urn> | routers <group> | " +
+        usage_line("") + " | fleet <sub> [arg]");
 }
 
 Bytes HttpRequest::encode() const {
@@ -417,112 +525,19 @@ std::string to_http_text(const HttpResponse& response) {
   return out;
 }
 
-namespace {
-
-/// Splits "/metrics?prefix=srudp." into the path and its query parameters.
-/// No percent-decoding: every value the endpoints accept (metric prefixes,
-/// host names, flow ids) is plain text already.
-std::pair<std::string, std::map<std::string, std::string>> parse_target(
-    const std::string& target) {
-  auto qpos = target.find('?');
-  std::string path = target.substr(0, qpos);
-  std::map<std::string, std::string> params;
-  if (qpos != std::string::npos) {
-    std::istringstream query(target.substr(qpos + 1));
-    std::string pair;
-    while (std::getline(query, pair, '&')) {
-      auto eq = pair.find('=');
-      if (eq == std::string::npos)
-        params[pair] = "";
-      else
-        params[pair.substr(0, eq)] = pair.substr(eq + 1);
-    }
-  }
-  return {std::move(path), std::move(params)};
-}
-
-HttpResponse text_response(int status, const std::string& text) {
-  HttpResponse res;
-  res.status = status;
-  res.body = to_bytes(text);
-  return res;
-}
-
-}  // namespace
-
 OpsGateway::OpsGateway(SnipeProcess& process, std::string service_uri)
-    : process_(process),
+    : OpsViews(process),
       server_(process, std::move(service_uri),
               [this](const HttpRequest& request) { return handle(request); }) {}
 
 HttpResponse OpsGateway::handle(const HttpRequest& request) const {
-  if (request.method != "GET")
-    return text_response(400, "only GET is supported\n");
   auto [path, params] = parse_target(request.path);
-  if (path == "/metrics") {
-    std::string out =
-        filter_lines(obs::MetricsRegistry::global().format_text(), params["prefix"]);
-    return text_response(200, out.empty() ? "(no metrics recorded)\n" : out);
-  }
-  if (path == "/health")
-    return text_response(200, health_report(obs::MetricsRegistry::global().snapshot()));
-  if (path == "/flight")
-    return text_response(200, obs::FlightRecorder::global().dump(params["host"]) + "\n");
-  if (path == "/trace") {
-    auto it = params.find("id");
-    if (it == params.end() || it->second.empty())
-      return text_response(400, "usage: /trace?id=<flow-or-msg-id>\n");
-    return text_response(200, trace_report(obs::Tracer::global().events(), it->second));
-  }
-  if (path == "/topo") {
-    SimDuration window = duration::seconds(10);
-    if (auto it = params.find("window_s"); it != params.end() && !it->second.empty()) {
-      char* end = nullptr;
-      unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-      if (end != it->second.c_str() && v > 0)
-        window = duration::seconds(static_cast<std::int64_t>(v));
-    }
-    return text_response(200,
-                         process_.host().world()->describe_topology(series_, window));
-  }
-  if (path == "/series") {
-    if (series_ == nullptr) return text_response(404, "no watchtower attached\n");
-    return text_response(200, series_->format_text(params["prefix"]));
-  }
-  if (path == "/alerts") {
-    if (alerts_ == nullptr) return text_response(404, "no watchtower attached\n");
-    return text_response(200, alerts_->format_text());
-  }
-  if (path.rfind("/fleet/", 0) == 0) {
-    if (fleet_ == nullptr)
-      return text_response(404, "no fleet collector attached\n");
-    if (path == "/fleet/metrics") {
-      std::string out = fleet_->format_metrics(params["prefix"]);
-      return text_response(200, out.empty() ? "(no fleet metrics)\n" : out);
-    }
-    if (path == "/fleet/health")
-      return text_response(200,
-                           fleet_health_report(*fleet_, obs::Tracer::global().now()));
-    if (path == "/fleet/flight")
-      return text_response(200, fleet_->format_flight(params["host"]) + "\n");
-    if (path == "/fleet/top") {
-      std::size_t n = 5;
-      if (auto it = params.find("n"); it != params.end() && !it->second.empty()) {
-        char* end = nullptr;
-        unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-        if (end != it->second.c_str() && v > 0) n = static_cast<std::size_t>(v);
-      }
-      return text_response(200, fleet_->format_top(n));
-    }
-    if (path == "/fleet/series")
-      return text_response(200, fleet_->format_series(params["host"], params["prefix"]));
-    if (path == "/fleet/alerts") {
-      if (fleet_watch_ == nullptr)
-        return text_response(404, "no fleet watch attached\n");
-      return text_response(200, fleet_watch_->format_text());
-    }
-  }
-  return text_response(404, "not found: " + path + "\n");
+  const View* view = path.rfind('/', 0) == 0 ? find_view(path.substr(1)) : nullptr;
+  Answer out = request.method != "GET" ? Answer{400, "only GET is supported"}
+               : view != nullptr ? answer(*view, {process_, attached_, params}, /*http=*/true)
+                                 : Answer{404, "not found: " + path};
+  if (out.text.empty() || out.text.back() != '\n') out.text += '\n';
+  return {out.status, to_bytes(out.text)};
 }
 
 }  // namespace snipe::core

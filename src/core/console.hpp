@@ -46,6 +46,53 @@ std::string trace_report(const std::vector<obs::TraceEvent>& events,
 /// staleness math runs against (the tracer clock: virtual time in a sim).
 std::string fleet_health_report(const obs::FleetStore& store, std::int64_t now_ns);
 
+/// What the observability views answer from beyond the process-wide
+/// registries.  Each is optional; a view that needs a missing one answers
+/// with that attachment's "not attached" text (404 on the gateway).
+struct OpsAttachments {
+  const obs::FleetStore* fleet = nullptr;        ///< collector's store: fleet/*
+  const obs::SeriesStore* series = nullptr;      ///< local history: series, topo
+  const obs::AlertEngine* alerts = nullptr;      ///< local rules: alerts
+  const obs::FleetWatch* fleet_watch = nullptr;  ///< collector's rules: fleet/alerts
+};
+
+/// The observability views, one table behind both human-facing front ends
+/// (Console and OpsGateway).  A view's name is its gateway path without the
+/// leading '/'.  The console spells it as the name's words followed by the
+/// params in order ("fleet top 3"), the gateway as a GET with the params in
+/// the query string ("/fleet/top?n=3").  Without a <required> param the
+/// console replies with the view's usage and the gateway answers 400.
+///
+///   metrics [prefix]              registry scrape, optionally filtered
+///   trace <id>                    flow-event trail of one message (flow or msg id)
+///   flight [host]                 recent flight-recorder events, optionally per host
+///   health                        delivery-latency / retransmit / failover rollup
+///   topo [window_s]               zone tree, per-link utilization + up/down state;
+///                                 windowed (default 10 s) once series is attached
+///   series [prefix]               retained watchtower series        (needs series)
+///   alerts                        local alert-rule status           (needs alerts)
+///   fleet/metrics [prefix]        fleet-merged registry scrape     (fleet/* need fleet)
+///   fleet/health                  per-host liveness + merged health rollup
+///   fleet/flight [host]           fleet flight timeline, merge-sorted by time
+///   fleet/top [n]                 worst-n hosts (default 5) by retransmit / p99
+///   fleet/series [host] [prefix]  per-host shipped watchtower series
+///   fleet/alerts                  per-host fleet alert status  (needs fleet_watch)
+class OpsViews {
+ public:
+  void set_fleet(const obs::FleetStore* fleet) { attached_.fleet = fleet; }
+  void set_watch(const obs::SeriesStore* series, const obs::AlertEngine* alerts) {
+    attached_.series = series;
+    attached_.alerts = alerts;
+  }
+  void set_fleet_watch(const obs::FleetWatch* watch) { attached_.fleet_watch = watch; }
+
+ protected:
+  explicit OpsViews(SnipeProcess& process) : process_(process) {}
+
+  SnipeProcess& process_;
+  OpsAttachments attached_;
+};
+
 /// A human-facing SNIPE process: metadata queries + commands.
 ///
 /// `interpret` implements the character-based interface: a PVM-console-like
@@ -58,39 +105,12 @@ std::string fleet_health_report(const obs::FleetStore& store, std::int64_t now_n
 ///   meta <uri>             full metadata record, one assertion per line
 ///   where <urn>            the host a process currently runs on
 ///   routers <group-urn>    a multicast group's router set
-///   metrics [prefix]       scrape the global registry, optionally filtered
-///   trace <id>             flow-event trail of one message (flow or msg id)
-///   flight [host]          recent flight-recorder events, optionally per host
-///   health                 delivery-latency / retransmit / failover rollup
-///   topo                   zone tree with per-link utilization + up/down state
-///                          (utilization is windowed once a watchtower is
-///                          attached via set_watch; cumulative otherwise)
-///   series [prefix]        retained watchtower series (set_watch first)
-///   alerts                 local alert-rule status (set_watch first)
-///   fleet metrics [prefix] fleet-merged registry scrape (set_fleet first)
-///   fleet health           per-host liveness + fleet-merged health rollup
-///   fleet flight [host]    fleet flight timeline, merge-sorted by time
-///   fleet top [n]          worst-n hosts by retransmit ratio / delivery p99
-///   fleet series [host]    per-host shipped series (set_fleet first)
-///   fleet alerts           per-host fleet alert status (set_fleet_watch)
-class Console {
+///
+/// plus every observability view (see OpsViews), e.g. "metrics srudp.",
+/// "topo 30", "fleet series hostA srudp.".
+class Console : public OpsViews {
  public:
-  explicit Console(SnipeProcess& process) : process_(process) {}
-
-  /// Attaches a collector's fleet store; the `fleet *` verbs answer from it
-  /// (and report the lack of one until attached).
-  void set_fleet(const obs::FleetStore* fleet) { fleet_ = fleet; }
-
-  /// Attaches this process's watchtower surfaces: the series store feeds
-  /// the `series` verb and windows the `topo` utilization column; the
-  /// alert engine answers `alerts`.
-  void set_watch(const obs::SeriesStore* series, const obs::AlertEngine* alerts) {
-    series_ = series;
-    alerts_ = alerts;
-  }
-
-  /// Attaches a collector's fleet alert engine (`fleet alerts`).
-  void set_fleet_watch(const obs::FleetWatch* watch) { fleet_watch_ = watch; }
+  explicit Console(SnipeProcess& process) : OpsViews(process) {}
 
   /// Evaluates one command line; the reply is human-readable text.
   void interpret(const std::string& line, std::function<void(std::string)> reply);
@@ -129,13 +149,6 @@ class Console {
                SnipeProcess::DoneHandler done = nullptr) {
     process_.send(urn, tag, std::move(body), std::move(done));
   }
-
- private:
-  SnipeProcess& process_;
-  const obs::FleetStore* fleet_ = nullptr;
-  const obs::SeriesStore* series_ = nullptr;
-  const obs::AlertEngine* alerts_ = nullptr;
-  const obs::FleetWatch* fleet_watch_ = nullptr;
 };
 
 struct HttpRequest {
@@ -203,45 +216,14 @@ class HttpGateway {
 std::string to_http_text(const HttpResponse& response);
 
 /// The ops console served over SNIPE's own HTTP machinery: an ordinary
-/// SNIPE process that registers a service URI and exports observability
-/// data as plain text.  Because it is a normal HttpServer, requests reach
-/// it through the HttpGateway and keep working after it migrates.
-///
-///   GET /metrics[?prefix=srudp.]   registry scrape, optionally filtered
-///   GET /health                    health_report() over a live snapshot
-///   GET /flight[?host=a]           flight-recorder dump, optionally per host
-///   GET /trace?id=<flow-or-msg>    trace_report() for one causal flow
-///   GET /topo[?window_s=10]        zone tree, per-link utilization, up/down
-///                                  (windowed once a watchtower is attached)
-///   GET /series[?prefix=]          retained watchtower series (set_watch)
-///   GET /alerts                    local alert-rule status (set_watch)
-///
-/// With a fleet store attached (set_fleet), the local surface grows its
-/// fleet-wide counterpart, answered from collected beacons instead of this
-/// process's globals:
-///
-///   GET /fleet/metrics[?prefix=]   fleet-merged registry scrape
-///   GET /fleet/health              per-host liveness + merged health rollup
-///   GET /fleet/flight[?host=a]     fleet flight timeline (merge-sorted)
-///   GET /fleet/top[?n=5]           worst-n hosts (retransmit / delivery p99)
-///   GET /fleet/series[?host=a]     per-host shipped watchtower series
-///   GET /fleet/alerts              per-host fleet alert status (set_fleet_watch)
-class OpsGateway {
+/// SNIPE process that registers a service URI and serves every
+/// observability view (see OpsViews) as plain text at GET /<view>.
+/// Because it is a normal HttpServer, requests reach it through the
+/// HttpGateway and keep working after it migrates.  Unknown paths answer
+/// 404; methods other than GET answer 400.
+class OpsGateway : public OpsViews {
  public:
   OpsGateway(SnipeProcess& process, std::string service_uri);
-
-  /// Attaches a collector's fleet store; /fleet/* answers 404 until then.
-  void set_fleet(const obs::FleetStore* fleet) { fleet_ = fleet; }
-
-  /// Attaches the local watchtower surfaces (/series, /alerts, windowed
-  /// /topo utilization).
-  void set_watch(const obs::SeriesStore* series, const obs::AlertEngine* alerts) {
-    series_ = series;
-    alerts_ = alerts;
-  }
-
-  /// Attaches a collector's fleet alert engine (/fleet/alerts).
-  void set_fleet_watch(const obs::FleetWatch* watch) { fleet_watch_ = watch; }
 
   /// The request dispatcher, public so tests can drive it without a
   /// simulated browser in the loop.
@@ -251,12 +233,7 @@ class OpsGateway {
   std::uint64_t requests_served() const { return server_.requests_served(); }
 
  private:
-  SnipeProcess& process_;
   HttpServer server_;
-  const obs::FleetStore* fleet_ = nullptr;
-  const obs::SeriesStore* series_ = nullptr;
-  const obs::AlertEngine* alerts_ = nullptr;
-  const obs::FleetWatch* fleet_watch_ = nullptr;
 };
 
 }  // namespace snipe::core

@@ -35,23 +35,8 @@ bool HistogramSketch::merge(const HistogramSketch& other) {
 }
 
 double HistogramSketch::quantile(double q) const {
-  if (count == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  double rank = q * static_cast<double>(count);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    std::uint64_t in_bucket = buckets[i];
-    if (in_bucket == 0) continue;
-    if (static_cast<double>(seen + in_bucket) >= rank) {
-      double lo = i == 0 ? 0 : bounds[i - 1];
-      if (i == bounds.size()) return lo;
-      double hi = bounds[i];
-      double into = (rank - static_cast<double>(seen)) / static_cast<double>(in_bucket);
-      return lo + (hi - lo) * std::clamp(into, 0.0, 1.0);
-    }
-    seen += in_bucket;
-  }
-  return bounds.empty() ? 0 : bounds.back();
+  return bucket_quantile(bounds, buckets.size(), count, q,
+                         [this](std::size_t i) { return buckets[i]; });
 }
 
 void HistogramSketch::encode(ByteWriter& w) const {

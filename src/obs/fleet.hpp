@@ -60,10 +60,8 @@ struct HistogramSketch {
   /// the other's bounds.
   bool merge(const HistogramSketch& other);
 
-  /// Identical algorithm to obs::Histogram::quantile — 1-based rank q*count
-  /// walked over cumulative buckets with linear interpolation inside the
-  /// bucket — so a merged sketch reports exactly what one big histogram
-  /// would.
+  /// obs::bucket_quantile, the routine behind obs::Histogram::quantile too,
+  /// so a merged sketch reports exactly what one big histogram would.
   double quantile(double q) const;
 
   void encode(ByteWriter& w) const;

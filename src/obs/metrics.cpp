@@ -33,26 +33,9 @@ void Histogram::observe(double v) {
 }
 
 double Histogram::quantile(double q) const {
-  std::uint64_t total = count();
-  if (total == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  // Rank of the target observation (1-based), then walk the buckets.
-  double rank = q * static_cast<double>(total);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    std::uint64_t in_bucket = buckets_[i].load(std::memory_order_relaxed);
-    if (in_bucket == 0) continue;
-    if (static_cast<double>(seen + in_bucket) >= rank) {
-      double lo = i == 0 ? 0 : bounds_[i - 1];
-      // The +inf bucket has no upper edge; report its lower edge.
-      if (i == bounds_.size()) return lo;
-      double hi = bounds_[i];
-      double into = (rank - static_cast<double>(seen)) / static_cast<double>(in_bucket);
-      return lo + (hi - lo) * std::clamp(into, 0.0, 1.0);
-    }
-    seen += in_bucket;
-  }
-  return bounds_.empty() ? 0 : bounds_.back();
+  return bucket_quantile(bounds_, buckets_.size(), count(), q, [this](std::size_t i) {
+    return buckets_[i].load(std::memory_order_relaxed);
+  });
 }
 
 SourceHandle& SourceHandle::operator=(SourceHandle&& other) noexcept {

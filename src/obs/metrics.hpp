@@ -24,6 +24,7 @@
 // the concurrent paths).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -87,6 +88,33 @@ class Gauge {
   std::atomic<double> v_{0};
   const std::atomic<bool>* enabled_;
 };
+
+/// The one bucket-quantile routine, shared by Histogram and the fleet's
+/// HistogramSketch so a merged sketch reports exactly what one histogram
+/// fed the union of the samples would: the rank q*total walked over the
+/// buckets, interpolating linearly inside the bucket that holds it.
+/// `bucket_at(i)` is the occupancy of bucket i < `buckets`; the bucket past
+/// the last bound is the +inf tail and reports its lower edge.  Returns 0
+/// when `total` is 0.  Allocation-free: it runs on every scrape.
+template <typename BucketAt>
+double bucket_quantile(const std::vector<double>& bounds, std::size_t buckets,
+                       std::uint64_t total, double q, BucketAt bucket_at) {
+  if (total == 0) return 0;
+  double rank = std::clamp(q, 0.0, 1.0) * static_cast<double>(total);
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < buckets; ++i) {
+    std::uint64_t in_bucket = bucket_at(i);
+    if (in_bucket == 0) continue;
+    if (static_cast<double>(seen + in_bucket) >= rank) {
+      double lo = i == 0 ? 0 : bounds[i - 1];
+      if (i == bounds.size()) return lo;
+      double into = (rank - static_cast<double>(seen)) / static_cast<double>(in_bucket);
+      return lo + (bounds[i] - lo) * std::clamp(into, 0.0, 1.0);
+    }
+    seen += in_bucket;
+  }
+  return bounds.empty() ? 0 : bounds.back();
+}
 
 /// Fixed-bucket histogram.  Bucket upper bounds are set at creation (the
 /// default spans 10 µs .. 60 s expressed in milliseconds, wide enough for

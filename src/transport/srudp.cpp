@@ -580,15 +580,8 @@ void SrudpEndpoint::on_msg_ack(const simnet::Address& peer, std::uint64_t msg_id
     if (!qit->retransmitted && qit->first_sent >= 0) {
       SimDuration sample = engine_.now() - qit->first_sent;
       rtt_ms_->observe(static_cast<double>(sample) / 1e6);
-      if (out.srtt == 0) {
-        out.srtt = sample;
-        out.rttvar = sample / 2;
-      } else {
-        SimDuration err = sample > out.srtt ? sample - out.srtt : out.srtt - sample;
-        out.rttvar = (3 * out.rttvar + err) / 4;
-        out.srtt = (7 * out.srtt + sample) / 8;
-      }
-      out.rto = std::clamp(out.srtt + 4 * out.rttvar, config_.min_rto, config_.max_rto);
+      out.rtt.observe(sample);
+      out.rto = out.rtt.rto(config_.min_rto, config_.max_rto);
     }
     std::uint32_t unacked_inflight = 0;
     for (std::uint32_t i = 0; i < qit->frag_count; ++i)

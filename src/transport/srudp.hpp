@@ -36,6 +36,7 @@
 #include "obs/trace.hpp"
 #include "simnet/world.hpp"
 #include "transport/multipath.hpp"
+#include "transport/rtt.hpp"
 #include "transport/wire.hpp"
 #include "util/log.hpp"
 
@@ -162,8 +163,7 @@ class SrudpEndpoint {
     std::uint64_t next_msg_id = 1;
     std::deque<OutMessage> queue;
     std::size_t inflight = 0;  ///< fragments sent and not known received
-    SimDuration srtt = 0;
-    SimDuration rttvar = 0;
+    RttEstimator rtt;
     SimDuration rto;
     simnet::TimerId rto_timer;
     MultipathPolicy path;

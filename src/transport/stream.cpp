@@ -356,17 +356,7 @@ void StreamConnection::on_ack(const StreamPacket& p) {
 
     // RTT sample (Karn-filtered).
     if (rtt_sent_at_ >= 0 && p.ack >= rtt_seq_) {
-      SimDuration sample = endpoint_->engine().now() - rtt_sent_at_;
-      if (srtt_ == 0) {
-        srtt_ = sample;
-        rttvar_ = sample / 2;
-      } else {
-        SimDuration err = sample > srtt_ ? sample - srtt_ : srtt_ - sample;
-        rttvar_ = (3 * rttvar_ + err) / 4;
-        srtt_ = (7 * srtt_ + sample) / 8;
-      }
-      rto_ = std::clamp(srtt_ + 4 * rttvar_, endpoint_->config().min_rto,
-                        endpoint_->config().max_rto);
+      rtt_.observe(endpoint_->engine().now() - rtt_sent_at_);
       rtt_sent_at_ = -1;
     }
 
@@ -381,9 +371,9 @@ void StreamConnection::on_ack(const StreamPacket& p) {
     // Karn's rule can starve the RTT estimator for a long stretch of
     // retransmissions, and without this the timer stays pinned at max_rto,
     // turning each further loss into a multi-second stall.
-    if (srtt_ != 0)
-      rto_ = std::clamp(srtt_ + 4 * rttvar_, endpoint_->config().min_rto,
-                        endpoint_->config().max_rto);
+    // The fresh sample above, if any, lands in the timer here too.
+    if (rtt_.sampled())
+      rto_ = rtt_.rto(endpoint_->config().min_rto, endpoint_->config().max_rto);
     endpoint_->engine().cancel(rto_timer_);
     rto_timer_ = simnet::TimerId{};
     if (snd_una < snd_nxt) arm_rto();

@@ -19,6 +19,7 @@
 
 #include "obs/metrics.hpp"
 #include "simnet/world.hpp"
+#include "transport/rtt.hpp"
 #include "transport/wire.hpp"
 #include "util/log.hpp"
 
@@ -112,8 +113,7 @@ class StreamConnection {
   double ssthresh = 0;
   std::size_t peer_window_ = 0;
   int dup_acks_ = 0;
-  SimDuration srtt_ = 0;
-  SimDuration rttvar_ = 0;
+  RttEstimator rtt_;
   SimDuration rto_ = 0;
   simnet::TimerId rto_timer_;
   /// Outstanding RTT probe: (sequence that must be acked, send time).

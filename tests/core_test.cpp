@@ -643,7 +643,7 @@ TEST_F(CoreFixture, ConsoleFleetVerbs) {
     return out;
   };
 
-  EXPECT_NE(run_command("fleet health").find("no collector"), std::string::npos);
+  EXPECT_NE(run_command("fleet health").find("no fleet collector attached"), std::string::npos);
 
   obs::FleetStore store;
   obs::TelemetryBeacon beacon;
@@ -755,6 +755,112 @@ TEST_F(CoreFixture, ConsoleAndGatewayWatchtowerSurfaces) {
   EXPECT_NE(run_command("fleet series hostX").find("srudp.rto_events"),
             std::string::npos);
   EXPECT_NE(run_command("fleet alerts").find("hostX"), std::string::npos);
+}
+
+// ---- one view table: the console line and the gateway GET agree -----------
+
+TEST_F(CoreFixture, ConsoleAndGatewayViewsAgree) {
+  auto console_proc = make_process("hostC", "console");
+  Console console(*console_proc);
+  auto ops_proc = make_process("hostA", "ops");
+  OpsGateway ops(*ops_proc, "http://parity.utk.edu/");
+  world.engine().run();
+  // Give the windowed topo view history older than its shortest window.
+  world.engine().run_for(duration::seconds(10));
+  const SimTime now = world.now();
+
+  auto say = [&](const std::string& line) {
+    std::string out;
+    console.interpret(line, [&](std::string reply) { out = std::move(reply); });
+    world.engine().run();
+    return out;
+  };
+  auto get = [&](const std::string& target) {
+    HttpRequest req;
+    req.path = target;
+    return ops.handle(req);
+  };
+  auto chomp = [](std::string s) {
+    if (!s.empty() && s.back() == '\n') s.pop_back();
+    return s;
+  };
+
+  obs::FlightRecorder::global().record("hostC", "test", "parity_probe");
+  auto& tracer = obs::Tracer::global();
+  tracer.set_flow_enabled(true);
+  tracer.flow(obs::TraceEvent::Phase::flow_start, "flow", "srudp.send", 0x9a17,
+              {{"msg", "9191"}});
+  tracer.set_flow_enabled(false);
+
+  struct Case {
+    std::string line, target;
+    bool needs_attachment;
+  };
+  const std::vector<Case> cases = {
+      {"metrics rcds.", "/metrics?prefix=rcds.", false},
+      {"metrics zzz.", "/metrics?prefix=zzz.", false},
+      {"trace 0x9a17", "/trace?id=0x9a17", false},
+      {"trace 9191", "/trace?id=9191", false},
+      {"flight hostC", "/flight?host=hostC", false},
+      {"health", "/health", false},
+      {"topo", "/topo", false},
+      {"topo 5", "/topo?window_s=5", false},
+      {"series srudp.", "/series?prefix=srudp.", true},
+      {"alerts", "/alerts", true},
+      {"fleet metrics srudp.", "/fleet/metrics?prefix=srudp.", true},
+      {"fleet health", "/fleet/health", true},
+      {"fleet flight", "/fleet/flight", true},
+      {"fleet top 1", "/fleet/top?n=1", true},
+      {"fleet series hostX", "/fleet/series?host=hostX", true},
+      {"fleet series hostX zzz.", "/fleet/series?host=hostX&prefix=zzz.", true},
+      {"fleet alerts", "/fleet/alerts", true},
+  };
+  auto check_all = [&](bool attached) {
+    for (const auto& c : cases) {
+      auto res = get(c.target);
+      EXPECT_EQ(res.status, c.needs_attachment && !attached ? 404 : 200) << c.target;
+      EXPECT_EQ(chomp(say(c.line)), chomp(to_string(res.body)))
+          << c.line << " vs " << c.target << (attached ? " (attached)" : " (unattached)");
+    }
+  };
+  check_all(false);
+
+  obs::SeriesStore series;
+  series.record("srudp.fragments_sent", now - duration::seconds(2), 3);
+  series.record("link.lan.hostC.busy_ns", now - duration::seconds(8), 0);
+  series.record("link.lan.hostC.busy_ns", now - duration::seconds(3), 1e8);
+  series.record("link.lan.hostC.busy_ns", now, 5e8);
+  obs::AlertEngine alerts;
+  obs::FleetStore store;
+  obs::TelemetryBeacon beacon;
+  beacon.host = "hostX";
+  beacon.seq = 1;
+  beacon.ts = now;
+  beacon.period_ns = 1'000'000'000;
+  beacon.full = true;
+  beacon.counters = {{"srudp.fragments_sent", 8}, {"srudp.fragments_retransmitted", 2}};
+  beacon.series = {{"srudp.rto_events", {{now - duration::seconds(1), 1.0}}}};
+  store.apply(beacon, beacon.ts);
+  obs::FleetWatch fleet_watch(store);
+  fleet_watch.evaluate(now);
+  console.set_watch(&series, &alerts);
+  console.set_fleet(&store);
+  console.set_fleet_watch(&fleet_watch);
+  ops.set_watch(&series, &alerts);
+  ops.set_fleet(&store);
+  ops.set_fleet_watch(&fleet_watch);
+  check_all(true);
+
+  // The cases that used to drift apart: the console honours the fleet
+  // series prefix and the topo window just like the gateway.
+  EXPECT_EQ(say("fleet series hostX zzz.").find("srudp.rto_events"), std::string::npos);
+  EXPECT_NE(say("fleet series hostX").find("srudp.rto_events"), std::string::npos);
+  EXPECT_NE(say("topo 5"), say("topo"));
+
+  // A missing required param: the view's usage on the console, 400 over HTTP.
+  EXPECT_EQ(say("trace").rfind("usage: trace <id>", 0), 0u) << say("trace");
+  EXPECT_EQ(get("/trace").status, 400);
+  EXPECT_EQ(get("/trace?id=").status, 400);
 }
 
 }  // namespace
