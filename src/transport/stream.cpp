@@ -1,20 +1,26 @@
 #include "transport/stream.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
 
 namespace snipe::transport {
 
+namespace {
+constexpr std::size_t kRwnd = 256 * 1024;  // advertised receive window
+constexpr std::size_t kInitialCwndSegments = 4;
+constexpr SimDuration kInitialRto = duration::milliseconds(100);
+constexpr SimDuration kMinRto = duration::milliseconds(2);
+constexpr SimDuration kMaxRto = duration::seconds(4);
+}  // namespace
+
 // ---------- StreamEndpoint ----------
 
-StreamEndpoint::StreamEndpoint(simnet::Host& host, std::uint16_t port, StreamConfig config)
+StreamEndpoint::StreamEndpoint(simnet::Host& host, std::uint16_t port)
     : host_(host),
       engine_(host.engine()),
       port_(port == 0 ? host.ephemeral_port() : port),
-      config_(config),
       log_("stream@" + host.name() + ":" + std::to_string(port_)) {
   host_.bind(port_, [this](const simnet::Packet& p) { on_packet(p); }).value();
 }
@@ -30,8 +36,7 @@ StreamEndpoint::~StreamEndpoint() {
 
 std::shared_ptr<StreamConnection> StreamEndpoint::connect(const simnet::Address& dst) {
   std::uint32_t conn_id = next_conn_id_++;
-  auto conn = std::shared_ptr<StreamConnection>(
-      new StreamConnection(this, dst, conn_id, /*initiator=*/true));
+  auto conn = std::shared_ptr<StreamConnection>(new StreamConnection(this, dst, conn_id));
   connections_[{dst, conn_id}] = conn;
   conn->start_connect();
   return conn;
@@ -51,8 +56,8 @@ void StreamEndpoint::on_packet(const simnet::Packet& packet) {
   auto it = connections_.find(key);
   if (it == connections_.end()) {
     if (type != PacketType::syn) return;  // stray packet for a dead conn
-    auto conn = std::shared_ptr<StreamConnection>(
-        new StreamConnection(this, peer, p.value().conn_id, /*initiator=*/false));
+    auto conn =
+        std::shared_ptr<StreamConnection>(new StreamConnection(this, peer, p.value().conn_id));
     connections_[key] = conn;
     conn->state_ = StreamConnection::State::syn_received;
     conn->rcv_nxt = 0;
@@ -74,13 +79,12 @@ void StreamEndpoint::raw_send(const simnet::Address& dst, Payload wire) {
 // ---------- StreamConnection ----------
 
 StreamConnection::StreamConnection(StreamEndpoint* endpoint, simnet::Address peer,
-                                   std::uint32_t conn_id, bool initiator)
-    : endpoint_(endpoint), peer_(std::move(peer)), conn_id_(conn_id), initiator_(initiator) {
-  const auto& cfg = endpoint_->config();
-  rto_ = cfg.initial_rto;
-  peer_window_ = cfg.rwnd;
-  cwnd = static_cast<double>(cfg.initial_cwnd_segments) * static_cast<double>(mss());
-  ssthresh = static_cast<double>(cfg.rwnd);
+                                   std::uint32_t conn_id)
+    : endpoint_(endpoint), peer_(std::move(peer)), conn_id_(conn_id) {
+  rto_ = kInitialRto;
+  peer_window_ = kRwnd;
+  cwnd = static_cast<double>(kInitialCwndSegments) * static_cast<double>(mss());
+  ssthresh = static_cast<double>(kRwnd);
 
   delivery_ms_ = &obs::MetricsRegistry::global().histogram("stream.delivery_ms");
   metrics_sources_.add("stream.segments_sent", [this] { return stats_.segments_sent; });
@@ -113,7 +117,7 @@ void StreamConnection::send_control(PacketType type) {
   p.conn_id = conn_id_;
   p.seq = snd_nxt;
   p.ack = rcv_nxt;
-  p.window = static_cast<std::uint32_t>(endpoint_->config().rwnd);
+  p.window = static_cast<std::uint32_t>(kRwnd);
   endpoint_->raw_send(peer_, encode_stream(type, endpoint_->port(), p));
 }
 
@@ -129,20 +133,20 @@ void StreamConnection::send_message(Payload message) {
                 {{"peer", peer_.to_string()},
                  {"bytes", std::to_string(message.size())}});
   // Splice the frame header (pooled scratch) and the caller's message
-  // buffer into the send buffer without copying either.
+  // buffer into the frame without copying either.
   PayloadWriter w;
   w.u32(static_cast<std::uint32_t>(message.size()));
   w.u64(flow);
   w.append(message);
-  send_buffer_.append(std::move(w).take());
-  msg_spans_.push_back(
-      MsgSpan{snd_una + send_buffer_.size(), flow, endpoint_->engine().now()});
+  Payload bytes = std::move(w).take();
+  std::uint64_t end = queued_end() + bytes.size();
+  frames_.push_back(Frame{std::move(bytes), end, flow, endpoint_->engine().now()});
   if (state_ == State::established) pump();
 }
 
 void StreamConnection::pump() {
   if (state_ != State::established) return;
-  std::uint64_t buffered_end = snd_una + send_buffer_.size();
+  std::uint64_t buffered_end = queued_end();
   std::uint64_t window_limit =
       snd_una + std::min<std::uint64_t>(static_cast<std::uint64_t>(cwnd), peer_window_);
   while (snd_nxt < buffered_end && snd_nxt < window_limit) {
@@ -160,9 +164,19 @@ void StreamConnection::send_segment(std::uint64_t seq, std::size_t len, bool ret
   p.conn_id = conn_id_;
   p.seq = seq;
   p.ack = rcv_nxt;
-  p.window = static_cast<std::uint32_t>(endpoint_->config().rwnd);
-  std::size_t offset = static_cast<std::size_t>(seq - snd_una);
-  p.payload = send_buffer_.slice(offset, len);
+  p.window = static_cast<std::uint32_t>(kRwnd);
+  // Frames are ascending by end, so the first one ending past `seq` holds
+  // the segment's first byte (and owns it for tracing); the rest of the
+  // segment comes from the frames that follow.
+  auto frame = std::upper_bound(frames_.begin(), frames_.end(), seq,
+                                [](std::uint64_t s, const Frame& f) { return s < f.end; });
+  const std::uint64_t flow = frame->flow;
+  std::size_t off = static_cast<std::size_t>(seq - (frame->end - frame->bytes.size()));
+  for (std::size_t left = len; left > 0; ++frame, off = 0) {
+    std::size_t take = std::min(left, frame->bytes.size() - off);
+    p.payload.append(frame->bytes.slice(off, take));
+    left -= take;
+  }
 
   if (retransmission) {
     ++stats_.segments_retransmitted;
@@ -174,22 +188,10 @@ void StreamConnection::send_segment(std::uint64_t seq, std::size_t len, bool ret
   ++stats_.segments_sent;
   stats_.bytes_sent += len;
   auto& tracer = obs::Tracer::global();
-  if (tracer.flow_enabled()) {
-    // Attribute the segment to the message containing its first byte:
-    // spans are ascending by end offset, so the first span ending past
-    // `seq` owns it.
-    std::uint64_t flow = 0;
-    for (const auto& span : msg_spans_) {
-      if (span.end > seq) {
-        flow = span.flow;
-        break;
-      }
-    }
-    if (flow != 0)
-      tracer.flow(obs::TraceEvent::Phase::flow_step, "flow",
-                  retransmission ? "stream.retransmit" : "stream.tx", flow,
-                  {{"seq", std::to_string(seq)}, {"len", std::to_string(len)}});
-  }
+  if (tracer.flow_enabled())
+    tracer.flow(obs::TraceEvent::Phase::flow_step, "flow",
+                retransmission ? "stream.retransmit" : "stream.tx", flow,
+                {{"seq", std::to_string(seq)}, {"len", std::to_string(len)}});
   endpoint_->raw_send(peer_, encode_stream(PacketType::seg, endpoint_->port(), p));
 }
 
@@ -205,7 +207,7 @@ void StreamConnection::on_rto() {
   if (state_ == State::closed || endpoint_ == nullptr) return;
   if (state_ == State::syn_sent) {
     send_control(PacketType::syn);
-    rto_ = std::min(rto_ * 2, endpoint_->config().max_rto);
+    rto_ = std::min(rto_ * 2, kMaxRto);
     arm_rto();
     return;
   }
@@ -222,7 +224,7 @@ void StreamConnection::on_rto() {
   std::size_t len =
       std::min<std::uint64_t>(static_cast<std::uint64_t>(mss()), snd_nxt - snd_una);
   send_segment(snd_una, len, /*retransmission=*/true);
-  rto_ = std::min(rto_ * 2, endpoint_->config().max_rto);
+  rto_ = std::min(rto_ * 2, kMaxRto);
   arm_rto();
 }
 
@@ -238,7 +240,7 @@ void StreamConnection::on_packet(PacketType type, const StreamPacket& p) {
         peer_window_ = p.window;
         endpoint_->engine().cancel(rto_timer_);
         rto_timer_ = simnet::TimerId{};
-        rto_ = endpoint_->config().initial_rto;
+        rto_ = kInitialRto;
         send_control(PacketType::ack);
         if (on_connect_) on_connect_(ok_result());
         pump();
@@ -337,21 +339,16 @@ void StreamConnection::on_ack(const StreamPacket& p) {
   if (state_ != State::established) return;
   peer_window_ = p.window;
   if (p.ack > snd_una) {
-    std::uint64_t acked = p.ack - snd_una;
-    std::size_t drop = static_cast<std::size_t>(
-        std::min<std::uint64_t>(acked, send_buffer_.size()));
-    send_buffer_ = send_buffer_.slice(drop, send_buffer_.size() - drop);
     snd_una = p.ack;
     if (snd_nxt < snd_una) snd_nxt = snd_una;
     dup_acks_ = 0;
 
     // Messages whose whole frame is now acked are delivered as far as the
-    // sender can observe; record their latency and retire the spans.
-    while (!msg_spans_.empty() && msg_spans_.front().end <= snd_una) {
+    // sender can observe; record their latency and retire the frames.
+    while (!frames_.empty() && frames_.front().end <= snd_una) {
       delivery_ms_->observe(
-          static_cast<double>(endpoint_->engine().now() - msg_spans_.front().enqueued) /
-          1e6);
-      msg_spans_.pop_front();
+          static_cast<double>(endpoint_->engine().now() - frames_.front().enqueued) / 1e6);
+      frames_.pop_front();
     }
 
     // RTT sample (Karn-filtered).
@@ -372,8 +369,7 @@ void StreamConnection::on_ack(const StreamPacket& p) {
     // retransmissions, and without this the timer stays pinned at max_rto,
     // turning each further loss into a multi-second stall.
     // The fresh sample above, if any, lands in the timer here too.
-    if (rtt_.sampled())
-      rto_ = rtt_.rto(endpoint_->config().min_rto, endpoint_->config().max_rto);
+    if (rtt_.sampled()) rto_ = rtt_.rto(kMinRto, kMaxRto);
     endpoint_->engine().cancel(rto_timer_);
     rto_timer_ = simnet::TimerId{};
     if (snd_una < snd_nxt) arm_rto();

@@ -25,15 +25,6 @@
 
 namespace snipe::transport {
 
-struct StreamConfig {
-  std::size_t rwnd = 256 * 1024;  ///< advertised receive window
-  std::size_t initial_cwnd_segments = 4;
-  SimDuration initial_rto = duration::milliseconds(100);
-  SimDuration min_rto = duration::milliseconds(2);
-  SimDuration max_rto = duration::seconds(4);
-  SimDuration connect_timeout = duration::seconds(10);
-};
-
 struct StreamStats {
   std::uint64_t segments_sent = 0;
   std::uint64_t segments_retransmitted = 0;
@@ -51,7 +42,7 @@ class StreamConnection {
  public:
   /// Messages are delivered as contiguous Payloads; on a clean path the
   /// bytes alias the sender's original message buffer (segments are slices
-  /// of the send buffer, which itself splices in the callers' buffers).
+  /// of queued frames, which themselves splice in the callers' buffers).
   using MessageHandler = std::function<void(Payload message)>;
   using ConnectHandler = std::function<void(Result<void>)>;
 
@@ -64,7 +55,7 @@ class StreamConnection {
 
   bool established() const { return state_ == State::established; }
   /// Bytes accepted by send_message but not yet cumulatively acked.
-  std::size_t unacked_bytes() const { return send_buffer_.size(); }
+  std::size_t unacked_bytes() const { return static_cast<std::size_t>(queued_end() - snd_una); }
   const simnet::Address& peer() const { return peer_; }
   const StreamStats& stats() const { return stats_; }
 
@@ -72,8 +63,7 @@ class StreamConnection {
   friend class StreamEndpoint;
   enum class State { syn_sent, syn_received, established, closed };
 
-  StreamConnection(StreamEndpoint* endpoint, simnet::Address peer, std::uint32_t conn_id,
-                   bool initiator);
+  StreamConnection(StreamEndpoint* endpoint, simnet::Address peer, std::uint32_t conn_id);
 
   void start_connect();
   void on_packet(PacketType type, const StreamPacket& p);
@@ -87,25 +77,27 @@ class StreamConnection {
   void deliver_contiguous();
   void parse_messages();
   std::size_t mss() const;
+  /// Absolute stream offset one past the last queued byte.
+  std::uint64_t queued_end() const { return frames_.empty() ? snd_una : frames_.back().end; }
 
   StreamEndpoint* endpoint_;
   simnet::Address peer_;
   std::uint32_t conn_id_;
-  bool initiator_;
   State state_ = State::closed;
 
-  /// One queued message's byte range on the stream, for trace threading:
-  /// segments look up the flow of the message containing their first byte,
-  /// and the span retires (observing delivery latency) once fully acked.
-  struct MsgSpan {
+  /// One queued message as framed on the stream: [u32 len][u64 flow][bytes].
+  /// Segments slice the frames they cover and take the flow of the frame
+  /// holding their first byte; a frame retires (observing delivery latency)
+  /// once its last byte is acked.
+  struct Frame {
+    Payload bytes;          ///< header scratch + the caller's message buffer
     std::uint64_t end = 0;  ///< absolute stream offset one past the frame
     std::uint64_t flow = 0;
     SimTime enqueued = 0;
   };
 
   // --- send side ---
-  Payload send_buffer_;  ///< bytes [snd_una, end); segments alias messages
-  std::deque<MsgSpan> msg_spans_;  ///< unacked messages, ascending by end
+  std::deque<Frame> frames_;  ///< unacked frames, ascending by end
   std::uint64_t next_msg_seq_ = 1;
   std::uint64_t snd_una = 0;
   std::uint64_t snd_nxt = 0;
@@ -141,7 +133,7 @@ class StreamEndpoint {
  public:
   using AcceptHandler = std::function<void(std::shared_ptr<StreamConnection>)>;
 
-  StreamEndpoint(simnet::Host& host, std::uint16_t port, StreamConfig config = {});
+  StreamEndpoint(simnet::Host& host, std::uint16_t port);
   ~StreamEndpoint();
 
   StreamEndpoint(const StreamEndpoint&) = delete;
@@ -157,7 +149,6 @@ class StreamEndpoint {
   simnet::Address address() const { return {host_.name(), port_}; }
   simnet::Host& host() { return host_; }
   simnet::Engine& engine() { return engine_; }
-  const StreamConfig& config() const { return config_; }
 
  private:
   friend class StreamConnection;
@@ -167,7 +158,6 @@ class StreamEndpoint {
   simnet::Host& host_;
   simnet::Engine& engine_;
   std::uint16_t port_;
-  StreamConfig config_;
   AcceptHandler on_accept_;
   /// Keyed by (peer address, connection id).
   std::map<std::pair<simnet::Address, std::uint32_t>,

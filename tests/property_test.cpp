@@ -115,22 +115,32 @@ TEST_P(StreamProperty, ByteStreamIntactInOrder) {
 
   Rng sizes(c.media * 104729u + c.loss_pm);
   std::vector<Bytes> sent;
+  std::size_t framed = 0;
   for (int i = 0; i < c.messages; ++i) {
     std::size_t size = static_cast<std::size_t>(sizes.next_below(c.max_size)) + 1;
     sent.push_back(pattern(size, static_cast<std::uint32_t>(i) + 7777));
     conn->send_message(sent.back());
+    framed += size + transport::kStreamFrameHeaderBytes;
   }
+  // Nothing can be acked before the handshake: every framed byte is queued.
+  EXPECT_EQ(conn->unacked_bytes(), framed);
   world.engine().run();
   ASSERT_EQ(received.size(), sent.size());
   for (std::size_t i = 0; i < sent.size(); ++i) EXPECT_EQ(received[i], sent[i]) << i;
   EXPECT_EQ(conn->unacked_bytes(), 0u);
+  // The deep-queue case is there so retransmitted segments straddle many
+  // frames: make sure it retransmits at all.
+  if (c.messages >= 1000) {
+    EXPECT_GT(conn->stats().segments_retransmitted, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, StreamProperty,
     ::testing::Values(SrudpCase{0, 0, 40, 40'000}, SrudpCase{0, 50, 25, 20'000},
                       SrudpCase{1, 20, 25, 60'000}, SrudpCase{2, 10, 25, 20'000},
-                      SrudpCase{2, 100, 15, 10'000}),
+                      SrudpCase{2, 100, 15, 10'000},
+                      SrudpCase{0, 100, 4000, 64}),  // deep queue of tiny messages
     [](const ::testing::TestParamInfo<SrudpCase>& info) {
       return "media" + std::to_string(info.param.media) + "_loss" +
              std::to_string(info.param.loss_pm) + "pm";
