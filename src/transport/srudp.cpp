@@ -1,13 +1,36 @@
 #include "transport/srudp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace snipe::transport {
 
 namespace {
 constexpr std::size_t kMinFragPayload = 256;
+
+// Byte-at-a-time helpers for the per-message fragment bitmap walks.
+
+/// The bits of bitmap byte `byte` that stand for fragments below `bits`.
+std::uint8_t bits_below(std::uint32_t byte, std::uint32_t bits) {
+  if (bits <= byte * 8) return 0;
+  std::uint32_t n = bits - byte * 8;
+  return n >= 8 ? 0xff : static_cast<std::uint8_t>((1u << n) - 1);
 }
+
+/// Byte `byte` of `bitmap`, fragments at or past `bits` cleared; bytes past
+/// the bitmap's end read as zero, as bitmap_get does.
+std::uint8_t bitmap_byte(const Bytes& bitmap, std::uint32_t byte, std::uint32_t bits) {
+  return byte < bitmap.size() ? bitmap[byte] & bits_below(byte, bits) : 0;
+}
+
+/// Set bits of `bitmap` below `bits`.
+std::uint32_t bitmap_count(const Bytes& bitmap, std::uint32_t bits) {
+  std::uint32_t n = 0;
+  for (std::uint32_t b = 0; b * 8 < bits; ++b) n += std::popcount(bitmap_byte(bitmap, b, bits));
+  return n;
+}
+}  // namespace
 
 SrudpEndpoint::SrudpEndpoint(simnet::Host& host, std::uint16_t port, SrudpConfig config)
     : host_(host),
@@ -343,6 +366,8 @@ void SrudpEndpoint::on_data(const simnet::Address& peer, const DataPacket& p) {
     msg.frags[p.frag_index] = p.payload;
     ++msg.have_count;
     msg.last_progress = engine_.now();
+    while (msg.first_missing < msg.frag_count && bitmap_get(msg.have, msg.first_missing))
+      ++msg.first_missing;
   }
   ++msg.since_status;
 
@@ -393,13 +418,8 @@ void SrudpEndpoint::on_data(const simnet::Address& peer, const DataPacket& p) {
     msg.since_status = 0;
     return;
   }
-  bool gap = false;
-  for (std::uint32_t i = 0; i < p.frag_index; ++i) {
-    if (!bitmap_get(msg.have, i)) {
-      gap = true;
-      break;
-    }
-  }
+  // A gap: some fragment below this one is still missing.
+  bool gap = msg.first_missing < p.frag_index;
   if (!msg.status_timer.valid())
     schedule_status(peer, p.msg_id, gap ? config_.gap_status_delay : config_.status_interval);
 }
@@ -506,26 +526,33 @@ void SrudpEndpoint::on_status(const simnet::Address& peer, const StatusPacket& p
     // Fragments above the highest index the receiver reports may simply
     // still be in flight; only holes *below* it are known losses (SACK-style
     // selective re-send).  Tail losses are covered by the RTO probe.
+    const std::uint32_t bytes = (msg.frag_count + 7) / 8;
     std::int64_t highest = -1;
-    for (std::uint32_t i = 0; i < msg.frag_count; ++i)
-      if (bitmap_get(p.bitmap, i)) highest = i;
-    std::deque<std::uint32_t> missing;
-    std::uint32_t newly_acked = 0;
-    for (std::uint32_t i = 0; i < msg.frag_count; ++i) {
-      if (bitmap_get(p.bitmap, i)) {
-        if (!bitmap_get(msg.acked, i)) {
-          bitmap_set(msg.acked, i);
-          ++msg.acked_count;
-          ++newly_acked;
-        }
-      } else if ((static_cast<std::int64_t>(i) < highest || highest < 0) &&
-                 i < msg.next_unsent && !bitmap_get(msg.acked, i)) {
-        // highest < 0: the receiver has nothing at all (it restarted or the
-        // whole window was lost) — resend everything we had sent.
-        missing.push_back(i);
+    for (std::uint32_t b = bytes; b-- > 0;) {
+      if (std::uint8_t r = bitmap_byte(p.bitmap, b, msg.frag_count)) {
+        highest = static_cast<std::int64_t>(b) * 8 + std::bit_width(r) - 1;
+        break;
       }
     }
-    msg.retransmit = std::move(missing);
+    // Missing: unreported, unacked and sent, below `highest` — or anywhere
+    // sent when highest < 0: the receiver has nothing at all (it restarted
+    // or the whole window was lost), so resend everything we had sent.
+    const std::uint32_t missing_below =
+        highest < 0 ? msg.next_unsent
+                    : std::min(msg.next_unsent, static_cast<std::uint32_t>(highest));
+    msg.retransmit.clear();
+    std::uint32_t newly_acked = 0;
+    for (std::uint32_t b = 0; b < bytes; ++b) {
+      std::uint8_t reported = bitmap_byte(p.bitmap, b, msg.frag_count);
+      std::uint8_t& acked = msg.acked[b];
+      auto fresh = static_cast<std::uint8_t>(reported & ~acked);
+      acked |= fresh;
+      newly_acked += std::popcount(fresh);
+      auto missing = static_cast<std::uint8_t>(~reported & ~acked & bits_below(b, missing_below));
+      for (; missing != 0; missing &= missing - 1)
+        msg.retransmit.push_back(b * 8 + std::countr_zero(missing));
+    }
+    msg.acked_count += newly_acked;
     out.inflight -= std::min<std::size_t>(out.inflight, newly_acked);
     if (newly_acked > 0) msg.implied_retx = false;  // progress re-arms the signal
     if (newly_acked > 0) {
@@ -583,9 +610,8 @@ void SrudpEndpoint::on_msg_ack(const simnet::Address& peer, std::uint64_t msg_id
       out.rtt.observe(sample);
       out.rto = out.rtt.rto(config_.min_rto, config_.max_rto);
     }
-    std::uint32_t unacked_inflight = 0;
-    for (std::uint32_t i = 0; i < qit->frag_count; ++i)
-      if (!bitmap_get(qit->acked, i) && i < qit->next_unsent) ++unacked_inflight;
+    std::uint32_t sent = std::min(qit->next_unsent, qit->frag_count);
+    std::uint32_t unacked_inflight = sent - bitmap_count(qit->acked, sent);
     out.inflight -= std::min<std::size_t>(out.inflight, unacked_inflight);
     out.queue.erase(qit);
     note_route_success(peer, out);

@@ -177,6 +177,7 @@ class SrudpEndpoint {
     std::uint64_t flow = 0;      ///< trace context from the fragments
     Bytes have;  ///< bitmap
     std::uint32_t have_count = 0;
+    std::uint32_t first_missing = 0;  ///< lowest index not in `have`
     std::uint32_t frag_count = 0;
     std::uint32_t total_len = 0;
     std::uint32_t since_status = 0;

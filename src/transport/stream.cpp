@@ -132,9 +132,10 @@ void StreamConnection::send_message(Payload message) {
     tracer.flow(obs::TraceEvent::Phase::flow_start, "flow", "stream.send", flow,
                 {{"peer", peer_.to_string()},
                  {"bytes", std::to_string(message.size())}});
-  // Splice the frame header (pooled scratch) and the caller's message
-  // buffer into the frame without copying either.
-  PayloadWriter w;
+  // Splice the frame header (held scratch: it lives until the frame is
+  // acked) and the caller's message buffer into the frame without copying
+  // either.
+  PayloadWriter w(PayloadWriter::Lifetime::held);
   w.u32(static_cast<std::uint32_t>(message.size()));
   w.u64(flow);
   w.append(message);
@@ -312,16 +313,17 @@ void StreamConnection::deliver_contiguous() {
 }
 
 void StreamConnection::parse_messages() {
-  while (true) {
-    if (receive_buffer_.size() < kStreamFrameHeaderBytes) return;
-    PayloadCursor r(receive_buffer_);
+  // One cursor walks the frames by offset, each message is one slice, and
+  // the parsed prefix is cut off once at the end.  (Packets always arrive
+  // through engine events, so handlers never re-enter this loop.)
+  PayloadCursor r(receive_buffer_);
+  std::size_t parsed = 0;
+  while (r.remaining() >= kStreamFrameHeaderBytes) {
     std::uint32_t len = r.u32().value();
     std::uint64_t flow = r.u64().value();
-    if (receive_buffer_.size() < kStreamFrameHeaderBytes + len) return;
-    Payload message = receive_buffer_.slice(kStreamFrameHeaderBytes, len);
-    receive_buffer_ =
-        receive_buffer_.slice(kStreamFrameHeaderBytes + len,
-                              receive_buffer_.size() - kStreamFrameHeaderBytes - len);
+    if (r.remaining() < len) break;
+    Payload message = r.view(len).value();
+    parsed += kStreamFrameHeaderBytes + len;
     ++stats_.messages_delivered;
     stats_.bytes_delivered += message.size();
     auto& tracer = obs::Tracer::global();
@@ -333,6 +335,8 @@ void StreamConnection::parse_messages() {
     message.flatten();
     if (on_message_) on_message_(std::move(message));
   }
+  if (parsed > 0)
+    receive_buffer_ = receive_buffer_.slice(parsed, receive_buffer_.size() - parsed);
 }
 
 void StreamConnection::on_ack(const StreamPacket& p) {

@@ -2,55 +2,62 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
 
 namespace snipe {
 
 namespace {
 
 // ---------------------------------------------------------------------------
-// Pooled scratch buffers for PayloadWriter headers.
+// Shared header scratch for PayloadWriter.
 //
-// The pool keeps one reference to every buffer it has handed out; a buffer
-// is free for reuse exactly when the pool's reference is the only one left
-// (use_count() == 1), i.e. every Payload that viewed it has been dropped.
-// This also means an in-flight pooled buffer always has use_count() >= 2,
-// so Payload::cow_xor never mutates pooled bytes in place — the pool can
-// recycle them without tearing someone's view.
-// The pool must cover the headers of everything in flight at once: a 1 MiB
-// message alone keeps ~65 chunks referenced while its fragments sit in the
-// media queue, so a 64-chunk pool thrashed (full scan + fresh allocation
-// per packet).  320 chunks (~160 KiB per thread) covers several in-flight
-// large messages; the probe is bounded so a saturated pool degrades to a
-// handful of use_count loads, not a full sweep.
-constexpr std::size_t kPoolBuffers = 320;
-constexpr std::size_t kChunkCapacity = 512;
-constexpr std::size_t kPoolProbes = 32;
+// Every writer on a thread bump-allocates its header bytes from the tail of
+// one scratch chunk, so a packet header costs a few bytes of a shared buffer
+// rather than a buffer of its own.  A full chunk is retired; it is recycled
+// once the scratch's reference is the only one left (use_count() == 1),
+// i.e. every Payload that viewed it has been dropped.  So a chunk the
+// scratch still holds always has use_count() >= 2 while anyone views it, and
+// Payload::cow_xor never mutates scratch bytes in place.
+//
+// One long-lived header would pin a whole chunk of short-lived ones, so
+// bytes held until an ack (Lifetime::held, the stream's frame headers) come
+// from a second scratch and pin only each other.  The retired list is
+// probed a few chunks at a time, rotating pinned chunks to its back, and
+// capped: past the cap the oldest chunk is handed over to its remaining
+// viewers, which free it when they drop.
+constexpr std::size_t kChunkCapacity = 4096;
+constexpr std::size_t kRetiredProbes = 4;
+constexpr std::size_t kMaxRetired = 256;
 
-struct ChunkPool {
-  std::vector<std::shared_ptr<Bytes>> buffers;
-  std::size_t cursor = 0;
+struct Scratch {
+  std::shared_ptr<Bytes> chunk;  ///< the chunk whose tail writers share
+  std::deque<std::shared_ptr<Bytes>> retired;
 
-  std::shared_ptr<Bytes> acquire(std::size_t need) {
-    std::size_t want = std::max(need, kChunkCapacity);
-    std::size_t probes = std::min(buffers.size(), kPoolProbes);
-    for (std::size_t i = 0; i < probes; ++i) {
-      auto& b = buffers[cursor];
-      cursor = (cursor + 1) % buffers.size();
-      if (b.use_count() == 1 && b->capacity() >= want) {
-        b->clear();
-        return b;
-      }
+  /// Makes `chunk` a chunk with room for `need` more bytes.
+  void reserve(std::size_t need) {
+    if (chunk != nullptr && chunk->size() + need <= chunk->capacity()) return;
+    if (chunk != nullptr) {
+      retired.push_back(std::move(chunk));
+      if (retired.size() > kMaxRetired) retired.pop_front();
     }
-    auto fresh = std::make_shared<Bytes>();
-    fresh->reserve(want);
-    if (buffers.size() < kPoolBuffers) buffers.push_back(fresh);
-    return fresh;
+    for (std::size_t i = 0; i < std::min(retired.size(), kRetiredProbes); ++i) {
+      std::shared_ptr<Bytes> c = std::move(retired.front());
+      retired.pop_front();
+      if (c.use_count() == 1 && c->capacity() >= need) {
+        c->clear();
+        chunk = std::move(c);
+        return;
+      }
+      retired.push_back(std::move(c));
+    }
+    chunk = std::make_shared<Bytes>();
+    chunk->reserve(std::max(need, kChunkCapacity));
   }
 };
 
-ChunkPool& pool() {
-  thread_local ChunkPool p;
-  return p;
+Scratch& scratch(PayloadWriter::Lifetime lifetime) {
+  thread_local Scratch s[2];
+  return s[lifetime == PayloadWriter::Lifetime::held ? 1 : 0];
 }
 
 }  // namespace
@@ -183,7 +190,7 @@ void Payload::cow_xor(std::size_t pos, std::uint8_t mask) {
     }
     if (s.buf.use_count() != 1) {
       // Shared bytes (another payload, a retransmit buffer, or the writer
-      // pool still references them): clone just this segment.
+      // scratch still references them): clone just this segment.
       auto clone = std::make_shared<Bytes>(s.buf->begin() + static_cast<std::ptrdiff_t>(s.off),
                                            s.buf->begin() + static_cast<std::ptrdiff_t>(s.off + s.len));
       s.buf = clone;
@@ -233,13 +240,6 @@ std::string to_string(const Payload& p) {
 // ---------------------------------------------------------------------------
 // PayloadWriter
 
-void PayloadWriter::ensure_chunk(std::size_t need) {
-  if (chunk_ != nullptr && chunk_->size() + need <= chunk_->capacity()) return;
-  freeze_pending();
-  chunk_ = pool().acquire(need);
-  chunk_base_ = chunk_->size();
-}
-
 void PayloadWriter::freeze_pending() {
   if (pending_ == 0) return;
   out_.append(Payload(Payload::Buffer(chunk_), chunk_base_, pending_));
@@ -249,7 +249,25 @@ void PayloadWriter::freeze_pending() {
 
 void PayloadWriter::raw(const std::uint8_t* p, std::size_t n) {
   if (n == 0) return;
-  ensure_chunk(n);
+  Scratch& s = scratch(lifetime_);
+  // The writer holds the lease on the scratch tail while its pending bytes
+  // end there.  If another writer has written since, or the field does not
+  // fit, the pending bytes move to the tail (of a fresh chunk if need be):
+  // the bytes of one packet header always form one segment.
+  bool holds_tail = chunk_ != nullptr && chunk_ == s.chunk &&
+                    chunk_->size() == chunk_base_ + pending_ &&
+                    chunk_->size() + n <= chunk_->capacity();
+  if (!holds_tail) {
+    std::shared_ptr<Bytes> old = std::move(chunk_);
+    s.reserve(pending_ + n);
+    Bytes& tail = *s.chunk;
+    std::size_t base = tail.size();
+    // Within capacity, so `old` (possibly this same chunk) keeps its data.
+    tail.resize(base + pending_);
+    if (pending_ > 0) std::memcpy(tail.data() + base, old->data() + chunk_base_, pending_);
+    chunk_ = s.chunk;
+    chunk_base_ = base;
+  }
   chunk_->insert(chunk_->end(), p, p + n);
   pending_ += n;
 }
@@ -354,14 +372,21 @@ Result<std::string> PayloadCursor::str() {
 
 Result<Payload> PayloadCursor::view(std::size_t n) {
   if (remaining() < n) return short_read();
-  Payload out = p_.slice(off_, n);
-  off_ += n;
-  // Re-sync the segment cursor by walking forward.
-  while (seg_ < p_.segment_count()) {
+  // Walks on from the current segment, as read() does, so taking views one
+  // after another costs O(segments) in all rather than per view.
+  Payload out;
+  while (n > 0) {
     const Payload::Segment& s = p_.segment(seg_);
-    if (off_ - seg_off_ <= s.len) break;
-    seg_off_ += s.len;
-    ++seg_;
+    std::size_t in_seg = off_ - seg_off_;
+    if (in_seg == s.len) {
+      seg_off_ += s.len;
+      ++seg_;
+      continue;
+    }
+    std::size_t take = std::min(n, s.len - in_seg);
+    out.push_segment(s.buf, s.off + in_seg, take);
+    off_ += take;
+    n -= take;
   }
   return out;
 }

@@ -2,7 +2,7 @@
 //
 // A Payload is an ordered list of segments, each a [offset, len) window into
 // a shared immutable byte buffer.  Slicing and concatenation never copy
-// bytes — a wire packet is a small pooled header segment plus a slice of the
+// bytes — a wire packet is a small shared header segment plus a slice of the
 // sender's original message buffer, and receiver-side reassembly of adjacent
 // slices of one buffer coalesces back into a single segment aliasing that
 // buffer.  The only copies left on the data path are the ones that change
@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -100,6 +101,7 @@ class Payload {
   bool operator==(const Bytes& o) const;
 
  private:
+  friend class PayloadCursor;  // view() pushes segments as it walks
   static constexpr std::size_t kInlineSegments = 2;
 
   void push_segment(Buffer buf, std::size_t off, std::size_t len);
@@ -117,17 +119,30 @@ class Payload {
 std::string to_string(const Payload& p);
 
 /// Builds a Payload from header fields plus existing payloads without
-/// copying the latter: primitive writes go to a small pooled scratch buffer
-/// (reused across packets once every reference to it drops), append()
-/// splices in shared segments.  Produces exactly the byte sequence a
-/// ByteWriter would — the wire format is unchanged, only its ownership is.
+/// copying the latter: primitive writes are bump-allocated from the tail of
+/// a thread-local scratch chunk that all writers share (a full chunk is
+/// recycled once every reference to it drops), append() splices in shared
+/// segments.  The bytes written between two splices stay one segment, so a
+/// packet is a header segment plus its payload's segments.  Produces exactly
+/// the byte sequence a ByteWriter would — the wire format is unchanged, only
+/// its ownership is.
 class PayloadWriter {
  public:
-  PayloadWriter() = default;
+  /// How long the written bytes are kept.  Bytes held until an ack (stream
+  /// frame headers) get a scratch of their own, so they pin only each
+  /// other's chunks, never those of short-lived packet headers.
+  enum class Lifetime { packet, held };
+
+  explicit PayloadWriter(Lifetime lifetime = Lifetime::packet) : lifetime_(lifetime) {}
   PayloadWriter(const PayloadWriter&) = delete;
   PayloadWriter& operator=(const PayloadWriter&) = delete;
-  PayloadWriter(PayloadWriter&&) = default;
-  PayloadWriter& operator=(PayloadWriter&&) = default;
+  /// A moved-from writer is empty and may be written again.
+  PayloadWriter(PayloadWriter&& o) noexcept
+      : lifetime_(o.lifetime_),
+        chunk_(std::move(o.chunk_)),
+        chunk_base_(std::exchange(o.chunk_base_, 0)),
+        pending_(std::exchange(o.pending_, 0)),
+        out_(std::exchange(o.out_, Payload{})) {}
 
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
@@ -154,11 +169,11 @@ class PayloadWriter {
   Payload take() &&;
 
  private:
-  void ensure_chunk(std::size_t need);
   void freeze_pending();
 
-  std::shared_ptr<Bytes> chunk_;   ///< pooled scratch buffer being filled
-  std::size_t chunk_base_ = 0;     ///< start of the unfrozen tail in chunk_
+  Lifetime lifetime_;
+  std::shared_ptr<Bytes> chunk_;   ///< scratch chunk holding the pending bytes
+  std::size_t chunk_base_ = 0;     ///< start of the pending bytes in chunk_
   std::size_t pending_ = 0;        ///< bytes written to chunk_ since freeze
   Payload out_;
 };

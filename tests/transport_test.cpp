@@ -528,6 +528,55 @@ TEST(Srudp, TinyMtuInterfaceDoesNotWreckFragmentation) {
   EXPECT_GE(a.stats().fragments_sent.v, 4u);
 }
 
+// Hand-sends fragment `frag_index` of a 4-fragment message to a receiving
+// endpoint and returns how long after the send its first STATUS reached
+// the raw sender.
+SimDuration first_status_after(std::uint32_t frag_index, const SrudpConfig& cfg) {
+  World world(1);
+  world.create_network("net", simnet::ethernet100());
+  auto& ha = world.create_host("a");
+  auto& hb = world.create_host("b");
+  world.attach(ha, *world.network("net"));
+  world.attach(hb, *world.network("net"));
+  SrudpEndpoint b(hb, 7002, cfg);
+  SimTime status_at = -1;
+  ha.bind(7001, [&](const simnet::Packet& packet) {
+      auto head = decode_head(packet.payload);
+      if (head && head.value().type == PacketType::status && status_at < 0)
+        status_at = world.engine().now();
+    }).value();
+  DataPacket d;
+  d.msg_id = 1;
+  d.frag_index = frag_index;
+  d.frag_count = 4;
+  d.total_len = 400;
+  d.payload = Payload(pattern_bytes(100));
+  simnet::SendOptions opts;
+  opts.src_port = 7001;
+  ha.send(b.address(), encode_data(7001, d, false), opts).value();
+  // Well past both delays, short of the receiver's stalled-message drop.
+  world.engine().run_for(duration::seconds(1));
+  return status_at;
+}
+
+TEST(Srudp, GapSchedulesTheQuickStatusAndInOrderTheIntervalOne) {
+  // A fragment with a missing fragment below it is a gap: the receiver
+  // reports after gap_status_delay.  An in-order fragment only schedules
+  // the periodic status_interval report.
+  SrudpConfig cfg;
+  cfg.gap_status_delay = duration::milliseconds(3);
+  cfg.status_interval = duration::milliseconds(40);
+  const SimDuration slack = duration::milliseconds(2);  // two eth100 hops
+
+  SimDuration reordered = first_status_after(2, cfg);
+  EXPECT_GE(reordered, cfg.gap_status_delay);
+  EXPECT_LT(reordered, cfg.gap_status_delay + slack);
+
+  SimDuration in_order = first_status_after(0, cfg);
+  EXPECT_GE(in_order, cfg.status_interval);
+  EXPECT_LT(in_order, cfg.status_interval + slack);
+}
+
 // ---- MultipathPolicy ----
 
 TEST(Multipath, SwitchesAfterThresholdAndResetsOnSuccess) {

@@ -361,6 +361,109 @@ TEST(Payload, WriterMatchesByteWriterByteForByte) {
   EXPECT_EQ(p.to_bytes(), bw.bytes());
 }
 
+// Writes one packet-shaped header of 3 + 8 + 4 * `extra` bytes followed by
+// `body` to both writers, so the scratch tail lands at every offset.
+void write_packet(ByteWriter& bw, PayloadWriter& pw, std::uint32_t seq, std::size_t extra,
+                  const Payload& body) {
+  bw.u8(1);
+  pw.u8(1);
+  bw.u16(0xBEEF);
+  pw.u16(0xBEEF);
+  bw.u64(seq * 0x0101010101ULL);
+  pw.u64(seq * 0x0101010101ULL);
+  for (std::size_t i = 0; i < extra; ++i) {
+    bw.u32(seq + static_cast<std::uint32_t>(i));
+    pw.u32(seq + static_cast<std::uint32_t>(i));
+  }
+  bw.blob(body.to_bytes());
+  pw.blob(body);
+}
+
+TEST(Payload, PacketHeaderStaysOneSegmentAcrossScratchChunks) {
+  // Thousands of headers of co-prime lengths fill the shared scratch chunk
+  // to every possible level, so some field always meets a nearly full
+  // chunk.  The header moves to the next chunk whole: a packet is always
+  // header + body, two inline segments and no spill allocation.
+  Payload body(Bytes{9, 8, 7, 6, 5});
+  for (std::uint32_t seq = 0; seq < 5000; ++seq) {
+    ByteWriter bw;
+    PayloadWriter pw;
+    write_packet(bw, pw, seq, seq % 7, body);
+    Payload p = std::move(pw).take();
+    ASSERT_EQ(p.segment_count(), 2u) << "packet " << seq;
+    ASSERT_EQ(p.segment(0).len, bw.size() - body.size()) << "packet " << seq;
+    ASSERT_EQ(p.to_bytes(), bw.bytes()) << "packet " << seq;
+  }
+}
+
+TEST(Payload, EarlierPayloadsKeepTheirBytesWhileScratchIsReused) {
+  // Keep every 16th packet alive and drop the rest, so the scratch chunks
+  // around the kept headers are retired and recycled many times over.
+  Payload body(Bytes{1, 2, 3});
+  std::vector<std::pair<Payload, Bytes>> kept;
+  for (std::uint32_t seq = 0; seq < 20000; ++seq) {
+    ByteWriter bw;
+    PayloadWriter pw;
+    write_packet(bw, pw, seq, seq % 5, body);
+    Payload p = std::move(pw).take();
+    if (seq % 16 == 0) kept.emplace_back(std::move(p), bw.bytes());
+  }
+  for (const auto& [payload, expected] : kept) ASSERT_EQ(payload.to_bytes(), expected);
+}
+
+TEST(Payload, InterleavedAndMovedWritersEachMatchByteWriter) {
+  Payload body(Bytes{4, 5, 6});
+  ByteWriter b1, b2, b3;
+  PayloadWriter w1, w2;
+  // Two live writers take turns at the shared scratch tail.
+  b1.u32(0x11111111);
+  w1.u32(0x11111111);
+  b2.u16(0x2222);
+  w2.u16(0x2222);
+  b1.u64(0x3333333333333333ULL);
+  w1.u64(0x3333333333333333ULL);
+  b2.blob(body.to_bytes());
+  w2.blob(body);
+  b1.u8(0x44);
+  w1.u8(0x44);
+  b2.u32(0x55555555);
+  w2.u32(0x55555555);
+  // w1 moves on as w3; the moved-from w1 starts over, empty.
+  PayloadWriter w3 = std::move(w1);
+  b3.u16(0x6666);
+  w1.u16(0x6666);
+  b1.str("moved");
+  w3.str("moved");
+  b3.blob(body.to_bytes());
+  w1.blob(body);
+  b2.u8(0x77);
+  w2.u8(0x77);
+
+  EXPECT_EQ(std::move(w3).take().to_bytes(), b1.bytes());
+  EXPECT_EQ(std::move(w2).take().to_bytes(), b2.bytes());
+  EXPECT_EQ(std::move(w1).take().to_bytes(), b3.bytes());
+}
+
+TEST(Payload, HeldBytesShareChunksOnlyWithOtherHeldBytes) {
+  // A frame header held until its ack must not pin the chunk that packet
+  // headers written around it live in.
+  auto header = [](PayloadWriter::Lifetime lifetime, std::uint32_t v) {
+    PayloadWriter w(lifetime);
+    w.u32(v);
+    w.u64(v);
+    return std::move(w).take();
+  };
+  Payload held1 = header(PayloadWriter::Lifetime::held, 1);
+  Payload packet = header(PayloadWriter::Lifetime::packet, 2);
+  Payload held2 = header(PayloadWriter::Lifetime::held, 3);
+  EXPECT_EQ(held1.segment(0).buf, held2.segment(0).buf);
+  EXPECT_NE(held1.segment(0).buf, packet.segment(0).buf);
+  ByteWriter bw;
+  bw.u32(3);
+  bw.u64(3);
+  EXPECT_EQ(held2.to_bytes(), bw.bytes());
+}
+
 TEST(Payload, CursorRoundTripsAndSlicesBlobsZeroCopy) {
   Bytes big(512);
   for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::uint8_t>(i * 3);
